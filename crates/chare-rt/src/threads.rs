@@ -462,21 +462,44 @@ impl<M: Message> ThreadEngine<M> {
     /// Stop the workers and collect all chares.
     pub fn into_chares(mut self) -> Vec<(ChareId, Box<dyn Chare<M>>)> {
         if !self.started {
-            return self.pending.into_iter().map(|(id, _, c)| (id, c)).collect();
+            let pending = std::mem::take(&mut self.pending);
+            return pending.into_iter().map(|(id, _, c)| (id, c)).collect();
         }
-        for tx in &self.txs {
+        let mut all = self.shutdown();
+        all.sort_by_key(|(id, _)| *id);
+        all
+    }
+
+    /// Send `Shutdown` to every worker, collect the chares they hand back
+    /// and join their threads. Idempotent: a second call finds no workers.
+    fn shutdown(&mut self) -> ChareCrate<M> {
+        for tx in self.txs.drain(..) {
             let _ = tx.send(Item::Shutdown);
         }
-        let rx = self.chares_rx.take().unwrap();
         let mut all = Vec::new();
-        for _ in 0..self.cfg.n_pes {
-            all.extend(rx.recv().expect("worker chares"));
+        if let Some(rx) = self.chares_rx.take() {
+            // A worker that panicked sends nothing; once every worker has
+            // exited the channel disconnects and `recv` fails.
+            for _ in 0..self.handles.len() {
+                match rx.recv() {
+                    Ok(chares) => all.extend(chares),
+                    Err(_) => break,
+                }
+            }
         }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        all.sort_by_key(|(id, _)| *id);
         all
+    }
+}
+
+/// Dropping a started engine without [`ThreadEngine::into_chares`] still
+/// stops and joins its workers: they hold each other's senders, so without
+/// an explicit `Shutdown` they (and their chares) would live forever.
+impl<M: Message> Drop for ThreadEngine<M> {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -8,20 +8,21 @@ use chare_rt::aggregator::{Aggregator, Flush};
 use chare_rt::{AggregationConfig, ChareId, Message};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// Count only allocations made by threads that opted in: the libtest
-// harness allocates concurrently (progress output, per-test threads),
-// which made whole-process counts flaky.
+// Count only allocations made by threads that opted in, each thread in its
+// own counter: the libtest harness allocates concurrently (progress output,
+// per-test threads), and the tests of this binary run in parallel, so a
+// shared counter saw the other tests' allocations.
 thread_local! {
     static TRACK: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tracked() -> bool {
-    // try_with: TLS may already be torn down when a dying thread frees.
-    TRACK.try_with(Cell::get).unwrap_or(false)
+fn count_alloc() {
+    // try_with: TLS may already be torn down when a dying thread allocates.
+    if TRACK.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 struct CountingAlloc;
@@ -29,9 +30,7 @@ struct CountingAlloc;
 // SAFETY: delegates every operation to `System`, only bumping a counter.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if tracked() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         // SAFETY: the caller's GlobalAlloc contract is forwarded to `System` unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -43,9 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: the realloc contract is forwarded to `System` unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if tracked() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_alloc();
         // SAFETY: the caller's GlobalAlloc contract is forwarded to `System` unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,9 +51,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// This thread's allocation count (and start counting on this thread).
 fn allocs() -> u64 {
     TRACK.with(|t| t.set(true));
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[derive(Debug)]

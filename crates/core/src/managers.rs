@@ -10,10 +10,62 @@
 use crate::kernel::{
     simulate_location_day, InfectivityClasses, KernelScratch, LocationDayFeatures,
 };
-use crate::messages::{slots, SharedRef, SimMsg, VisitMsg};
+use crate::messages::{slots, InfectMsg, SharedRef, SimMsg, VisitMsg, BATCH_CHUNK};
 use crate::person::{person_day, PersonSlot};
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
+
+/// Outgoing application-level batches: one `Vec` per destination manager,
+/// sent when it reaches [`BATCH_CHUNK`] records and drained at the end of
+/// the sending phase, so every buffer is empty at phase ends (the
+/// checkpoint path relies on that).
+///
+/// A spent batch leaves by value (`std::mem::take`), so an idle buffer
+/// holds no memory. A new batch is sized from what its destination got
+/// the previous day; records beyond that grow it by doubling.
+struct Outbox<T> {
+    batches: Vec<Vec<T>>,
+    /// Records sent to each destination so far in the current phase.
+    sent: Vec<u32>,
+    /// Records sent to each destination in the previous phase.
+    prev: Vec<u32>,
+}
+
+impl<T> Outbox<T> {
+    fn new(destinations: usize) -> Self {
+        Outbox {
+            batches: (0..destinations).map(|_| Vec::new()).collect(),
+            sent: vec![0; destinations],
+            prev: vec![0; destinations],
+        }
+    }
+
+    /// Append a record for destination `d`; returns the batch once it is
+    /// full.
+    #[inline]
+    fn push(&mut self, d: usize, rec: T) -> Option<Vec<T>> {
+        let batch = &mut self.batches[d];
+        if batch.capacity() == 0 {
+            let expect = self.prev[d].saturating_sub(self.sent[d]) as usize;
+            batch.reserve_exact(expect.min(BATCH_CHUNK));
+        }
+        batch.push(rec);
+        self.sent[d] += 1;
+        (batch.len() == BATCH_CHUNK).then(|| std::mem::take(batch))
+    }
+
+    /// End of phase: hand every non-empty batch to `send` with its
+    /// destination index, and start the next phase's counts.
+    fn flush(&mut self, mut send: impl FnMut(usize, Vec<T>)) {
+        for (d, batch) in self.batches.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                send(d, std::mem::take(batch));
+            }
+        }
+        std::mem::swap(&mut self.sent, &mut self.prev);
+        self.sent.fill(0);
+    }
+}
 
 /// A PersonManager: owns a set of persons, drives phases 1 and 5.
 pub struct PersonManager {
@@ -22,6 +74,8 @@ pub struct PersonManager {
     symptomatic_state: Option<StateId>,
     /// Scratch buffer reused across days.
     visit_buf: Vec<VisitMsg>,
+    /// Outgoing visit batches, indexed `lm - k`.
+    outbox: Outbox<VisitMsg>,
 }
 
 impl PersonManager {
@@ -39,11 +93,13 @@ impl PersonManager {
     /// §VII load-rebalancing path re-homes persons between epochs).
     pub fn with_states(shared: SharedRef, persons: Vec<PersonSlot>) -> Self {
         let symptomatic_state = shared.ptts.state_by_name("symptomatic");
+        let outbox = Outbox::new(shared.layout.k as usize);
         PersonManager {
             shared,
             persons,
             symptomatic_state,
             visit_buf: Vec::new(),
+            outbox,
         }
     }
 
@@ -70,6 +126,7 @@ impl PersonManager {
         ctx: &mut Ctx<'_, SimMsg>,
     ) {
         let shared = self.shared.clone();
+        let k = shared.layout.k;
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
         let mut susceptible = 0u64;
@@ -93,9 +150,13 @@ impl PersonManager {
             visits_sent += self.visit_buf.len() as u64;
             for msg in self.visit_buf.drain(..) {
                 let lm = shared.layout.lm_of_location[msg.location as usize];
-                ctx.send(ChareId(lm), SimMsg::Visit(msg));
+                if let Some(full) = self.outbox.push((lm - k) as usize, msg) {
+                    ctx.send(ChareId(lm), SimMsg::Visits(full));
+                }
             }
         }
+        self.outbox
+            .flush(|d, batch| ctx.send(ChareId(k + d as u32), SimMsg::Visits(batch)));
         ctx.contribute(slots::SYMPTOMATIC, symptomatic);
         ctx.contribute(slots::INFECTED_NOW, infected_now);
         ctx.contribute(slots::SUSCEPTIBLE, susceptible);
@@ -116,9 +177,12 @@ impl Chare<SimMsg> for PersonManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
             SimMsg::BeginDay { day, effects } => self.begin_day(day, &effects, ctx),
-            SimMsg::Infect(infect) => {
-                let local = self.shared.layout.local_of_person[infect.person as usize] as usize;
-                self.persons[local].record_infection(&infect);
+            SimMsg::Infects(batch) => {
+                let local_of_person = &self.shared.layout.local_of_person;
+                for infect in &batch {
+                    let local = local_of_person[infect.person as usize] as usize;
+                    self.persons[local].record_infection(infect);
+                }
             }
             SimMsg::ApplyDay { day } => self.apply_day(day, ctx),
             other => panic!("PersonManager got unexpected message {other:?}"),
@@ -138,8 +202,10 @@ impl Chare<SimMsg> for PersonManager {
     }
 }
 
-/// A LocationManager: owns a set of locations, buffers the day's visit
-/// messages, and runs the DES in phase 3.
+/// A LocationManager: owns a set of locations, scatters each received
+/// [`SimMsg::Visits`] batch into per-location buffers (as the sequential
+/// oracle does), and runs the DES in phase 3, sending the day's infects as
+/// one [`SimMsg::Infects`] batch per destination PersonManager.
 pub struct LocationManager {
     shared: SharedRef,
     /// Global location ids owned, ordered by local slot.
@@ -159,7 +225,9 @@ pub struct LocationManager {
     /// Per-location features summed over every day this LM has computed —
     /// the measured dynamic load the §VII rebalancer feeds on.
     pub feature_totals: Vec<LocationDayFeatures>,
-    infect_buf: Vec<crate::messages::InfectMsg>,
+    infect_buf: Vec<InfectMsg>,
+    /// Outgoing infect batches, indexed by PM chare id.
+    outbox: Outbox<InfectMsg>,
 }
 
 impl LocationManager {
@@ -168,6 +236,7 @@ impl LocationManager {
     pub fn new(shared: SharedRef, location_ids: Vec<u32>) -> Self {
         let n = location_ids.len();
         let classes = InfectivityClasses::new(&shared.ptts);
+        let outbox = Outbox::new(shared.layout.k as usize);
         LocationManager {
             shared,
             locations: location_ids,
@@ -177,6 +246,7 @@ impl LocationManager {
             last_features: vec![LocationDayFeatures::default(); n],
             feature_totals: vec![LocationDayFeatures::default(); n],
             infect_buf: Vec::new(),
+            outbox,
         }
     }
 
@@ -216,9 +286,13 @@ impl LocationManager {
             tot.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
             for infect in self.infect_buf.drain(..) {
                 let pm = shared.layout.pm_of_person[infect.person as usize];
-                ctx.send(ChareId(pm), SimMsg::Infect(infect));
+                if let Some(full) = self.outbox.push(pm as usize, infect) {
+                    ctx.send(ChareId(pm), SimMsg::Infects(full));
+                }
             }
         }
+        self.outbox
+            .flush(|pm, batch| ctx.send(ChareId(pm as u32), SimMsg::Infects(batch)));
         ctx.contribute(slots::EVENTS, events);
         ctx.contribute(slots::INTERACTIONS, interactions);
         ctx.contribute(slots::INFECTS_SENT, infects_sent);
@@ -233,9 +307,11 @@ impl LocationManager {
 impl Chare<SimMsg> for LocationManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
-            SimMsg::Visit(v) => {
-                let local = self.shared.layout.local_of_location[v.location as usize] as usize;
-                self.buffers[local].push(v);
+            SimMsg::Visits(batch) => {
+                let local_of_location = &self.shared.layout.local_of_location;
+                for v in batch {
+                    self.buffers[local_of_location[v.location as usize] as usize].push(v);
+                }
             }
             SimMsg::ComputeDay { day, r_eff } => self.compute_day(day, r_eff, ctx),
             other => panic!("LocationManager got unexpected message {other:?}"),

@@ -90,8 +90,10 @@ pub enum SimMsg {
         /// Intervention effects in force.
         effects: DayEffects,
     },
-    /// A person visiting a location (PM → LM; the aggregated hot path).
-    Visit(VisitMsg),
+    /// Visits from one PersonManager to one LocationManager (the hot
+    /// path): at most [`BATCH_CHUNK`] records, each bound for one of the
+    /// destination's locations.
+    Visits(Vec<VisitMsg>),
     /// Phase 2 kick-off, sent to every LocationManager.
     ComputeDay {
         /// Simulation day.
@@ -99,8 +101,9 @@ pub enum SimMsg {
         /// Effective transmissibility `r × r_scale`.
         r_eff: f64,
     },
-    /// A disease transmission (LM → PM).
-    Infect(InfectMsg),
+    /// Disease transmissions from one LocationManager to one
+    /// PersonManager, at most [`BATCH_CHUNK`] records.
+    Infects(Vec<InfectMsg>),
     /// Phase 3 kick-off, sent to every PersonManager.
     ApplyDay {
         /// Simulation day.
@@ -108,23 +111,36 @@ pub enum SimMsg {
     },
 }
 
+/// Records per [`SimMsg::Visits`] / [`SimMsg::Infects`] batch. A manager
+/// sends a batch once it holds this many records, and every non-empty
+/// batch at the end of its phase. A full visit batch encodes to
+/// 5 + 20·4096 bytes (about 82 KB), so its net-engine BATCH frame fits in
+/// one frame of the default 256 KiB shared-memory ring (`max_frame` is half
+/// the ring) and full batches never fall back to the comm thread.
+pub const BATCH_CHUNK: usize = 4096;
+
+/// Encoded size of one visit record.
+const VISIT_BYTES: usize = 20;
+/// Encoded size of one infect record.
+const INFECT_BYTES: usize = 10;
+
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
 /// DESIGN.md §8 pins them).
 mod tag {
     pub const BEGIN_DAY: u8 = 0;
-    pub const VISIT: u8 = 1;
+    pub const VISITS: u8 = 1;
     pub const COMPUTE_DAY: u8 = 2;
-    pub const INFECT: u8 = 3;
+    pub const INFECTS: u8 = 3;
     pub const APPLY_DAY: u8 = 4;
 }
 
 impl Message for SimMsg {
     fn size_bytes(&self) -> usize {
         // Wire-size estimates for the bandwidth model: the hot-path
-        // messages are what matter.
+        // batches are what matter (tag + count, then the records).
         match self {
-            SimMsg::Visit(_) => 20,
-            SimMsg::Infect(_) => 12,
+            SimMsg::Visits(v) => 5 + 20 * v.len(),
+            SimMsg::Infects(i) => 5 + 12 * i.len(),
             SimMsg::BeginDay { effects, .. } => {
                 16 + effects.vaccinations.len() * std::mem::size_of::<VaccinationOrder>()
             }
@@ -147,26 +163,32 @@ impl Message for SimMsg {
                     out.put_f64_le(v.efficacy_factor);
                 }
             }
-            SimMsg::Visit(v) => {
-                out.put_u8(tag::VISIT);
-                out.put_u32_le(v.person);
-                out.put_u32_le(v.location);
-                out.put_u16_le(v.sublocation);
-                out.put_u16_le(v.start_min);
-                out.put_u16_le(v.end_min);
-                out.put_u16_le(v.state.0);
-                out.put_f32_le(v.sus_scale);
+            SimMsg::Visits(batch) => {
+                out.put_u8(tag::VISITS);
+                out.put_u32_le(batch.len() as u32);
+                for v in batch {
+                    out.put_u32_le(v.person);
+                    out.put_u32_le(v.location);
+                    out.put_u16_le(v.sublocation);
+                    out.put_u16_le(v.start_min);
+                    out.put_u16_le(v.end_min);
+                    out.put_u16_le(v.state.0);
+                    out.put_f32_le(v.sus_scale);
+                }
             }
             SimMsg::ComputeDay { day, r_eff } => {
                 out.put_u8(tag::COMPUTE_DAY);
                 out.put_u32_le(*day);
                 out.put_f64_le(*r_eff);
             }
-            SimMsg::Infect(i) => {
-                out.put_u8(tag::INFECT);
-                out.put_u32_le(i.person);
-                out.put_u16_le(i.time_min);
-                out.put_u32_le(i.infector);
+            SimMsg::Infects(batch) => {
+                out.put_u8(tag::INFECTS);
+                out.put_u32_le(batch.len() as u32);
+                for i in batch {
+                    out.put_u32_le(i.person);
+                    out.put_u16_le(i.time_min);
+                    out.put_u32_le(i.infector);
+                }
             }
             SimMsg::ApplyDay { day } => {
                 out.put_u8(tag::APPLY_DAY);
@@ -208,19 +230,20 @@ impl Message for SimMsg {
                     },
                 })
             }
-            tag::VISIT => {
-                if buf.remaining() < 20 {
-                    return None;
-                }
-                Some(SimMsg::Visit(VisitMsg {
-                    person: buf.get_u32_le(),
-                    location: buf.get_u32_le(),
-                    sublocation: buf.get_u16_le(),
-                    start_min: buf.get_u16_le(),
-                    end_min: buf.get_u16_le(),
-                    state: StateId(buf.get_u16_le()),
-                    sus_scale: buf.get_f32_le(),
-                }))
+            tag::VISITS => {
+                let n = batch_len(buf, VISIT_BYTES)?;
+                let batch = (0..n)
+                    .map(|_| VisitMsg {
+                        person: buf.get_u32_le(),
+                        location: buf.get_u32_le(),
+                        sublocation: buf.get_u16_le(),
+                        start_min: buf.get_u16_le(),
+                        end_min: buf.get_u16_le(),
+                        state: StateId(buf.get_u16_le()),
+                        sus_scale: buf.get_f32_le(),
+                    })
+                    .collect();
+                Some(SimMsg::Visits(batch))
             }
             tag::COMPUTE_DAY => {
                 if buf.remaining() < 12 {
@@ -231,15 +254,16 @@ impl Message for SimMsg {
                     r_eff: buf.get_f64_le(),
                 })
             }
-            tag::INFECT => {
-                if buf.remaining() < 10 {
-                    return None;
-                }
-                Some(SimMsg::Infect(InfectMsg {
-                    person: buf.get_u32_le(),
-                    time_min: buf.get_u16_le(),
-                    infector: buf.get_u32_le(),
-                }))
+            tag::INFECTS => {
+                let n = batch_len(buf, INFECT_BYTES)?;
+                let batch = (0..n)
+                    .map(|_| InfectMsg {
+                        person: buf.get_u32_le(),
+                        time_min: buf.get_u16_le(),
+                        infector: buf.get_u32_le(),
+                    })
+                    .collect();
+                Some(SimMsg::Infects(batch))
             }
             tag::APPLY_DAY => {
                 if buf.remaining() < 4 {
@@ -252,6 +276,17 @@ impl Message for SimMsg {
             _ => None,
         }
     }
+}
+
+/// Read a batch's record count and check that `buf` holds that many
+/// `record_bytes`-sized records (a lying count is rejected, not trusted
+/// for an allocation).
+fn batch_len(buf: &mut &[u8], record_bytes: usize) -> Option<usize> {
+    if buf.remaining() < 4 {
+        return None;
+    }
+    let n = buf.get_u32_le() as usize;
+    (buf.remaining() >= n.checked_mul(record_bytes)?).then_some(n)
 }
 
 /// Reduction slot assignments (see `chare_rt::stats::REDUCTION_SLOTS`).
@@ -392,6 +427,40 @@ mod tests {
         out
     }
 
+    fn encode(msg: &SimMsg) -> bytes::Bytes {
+        let mut buf = BytesMut::with_capacity(64);
+        msg.wire_encode(&mut buf);
+        buf.freeze()
+    }
+
+    fn visit(i: u32) -> VisitMsg {
+        VisitMsg {
+            person: 12_345 + i,
+            location: 67_890 ^ i,
+            sublocation: (i % 13) as u16,
+            start_min: (i % 1440) as u16,
+            end_min: (i % 1440) as u16 + 1,
+            state: StateId((i % 5) as u16),
+            sus_scale: 0.625,
+        }
+    }
+
+    fn infect(i: u32) -> InfectMsg {
+        InfectMsg {
+            person: 99 + i,
+            time_min: (i % 1440) as u16,
+            infector: 7 * i,
+        }
+    }
+
+    fn visits(n: usize) -> SimMsg {
+        SimMsg::Visits((0..n as u32).map(visit).collect())
+    }
+
+    fn infects(n: usize) -> SimMsg {
+        SimMsg::Infects((0..n as u32).map(infect).collect())
+    }
+
     #[test]
     fn wire_codec_roundtrips_every_variant() {
         let begin = SimMsg::BeginDay {
@@ -425,24 +494,11 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
 
-        let visit = SimMsg::Visit(VisitMsg {
-            person: 12345,
-            location: 67890,
-            sublocation: 11,
-            start_min: 480,
-            end_min: 990,
-            state: StateId(2),
-            sus_scale: 0.625,
-        });
-        match roundtrip(&visit) {
-            SimMsg::Visit(v) => {
-                assert_eq!(v.person, 12345);
-                assert_eq!(v.location, 67890);
-                assert_eq!(v.sublocation, 11);
-                assert_eq!(v.start_min, 480);
-                assert_eq!(v.end_min, 990);
-                assert_eq!(v.state, StateId(2));
-                assert_eq!(v.sus_scale, 0.625);
+        match roundtrip(&visits(2)) {
+            SimMsg::Visits(v) => {
+                assert_eq!(v, vec![visit(0), visit(1)]);
+                assert_eq!(v[1].person, 12_346);
+                assert_eq!(v[1].sus_scale, 0.625);
             }
             other => panic!("wrong variant: {other:?}"),
         }
@@ -458,16 +514,8 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
 
-        match roundtrip(&SimMsg::Infect(InfectMsg {
-            person: 99,
-            time_min: 720,
-            infector: 7,
-        })) {
-            SimMsg::Infect(i) => {
-                assert_eq!(i.person, 99);
-                assert_eq!(i.time_min, 720);
-                assert_eq!(i.infector, 7);
-            }
+        match roundtrip(&infects(2)) {
+            SimMsg::Infects(i) => assert_eq!(i, vec![infect(0), infect(1)]),
             other => panic!("wrong variant: {other:?}"),
         }
 
@@ -478,31 +526,48 @@ mod tests {
     }
 
     #[test]
+    fn batches_roundtrip_empty_single_and_full_chunk() {
+        for n in [0, 1, BATCH_CHUNK] {
+            let bytes = encode(&visits(n));
+            assert_eq!(bytes.len(), 5 + VISIT_BYTES * n);
+            match roundtrip(&visits(n)) {
+                SimMsg::Visits(v) => {
+                    assert_eq!(v.len(), n);
+                    assert!(v.iter().enumerate().all(|(i, m)| *m == visit(i as u32)));
+                }
+                other => panic!("wrong variant: {other:?}"),
+            }
+            let bytes = encode(&infects(n));
+            assert_eq!(bytes.len(), 5 + INFECT_BYTES * n);
+            match roundtrip(&infects(n)) {
+                SimMsg::Infects(v) => {
+                    assert_eq!(v.len(), n);
+                    assert!(v.iter().enumerate().all(|(i, m)| *m == infect(i as u32)));
+                }
+                other => panic!("wrong variant: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn wire_decode_rejects_garbage() {
         // Unknown tag.
         let mut buf: &[u8] = &[200u8, 0, 0, 0, 0];
         assert!(SimMsg::wire_decode(&mut buf).is_none());
-        // Truncated visit.
-        let mut full = BytesMut::with_capacity(64);
-        SimMsg::Visit(VisitMsg {
-            person: 1,
-            location: 2,
-            sublocation: 3,
-            start_min: 4,
-            end_min: 5,
-            state: StateId(0),
-            sus_scale: 1.0,
-        })
-        .wire_encode(&mut full);
-        let full = full.freeze();
-        let mut short: &[u8] = &full[..full.len() - 1];
-        assert!(SimMsg::wire_decode(&mut short).is_none());
+        // Truncated batches: one byte short of the last record, and a
+        // count with no bytes for it at all.
+        for full in [encode(&visits(3)), encode(&infects(3))] {
+            let mut short: &[u8] = &full[..full.len() - 1];
+            assert!(SimMsg::wire_decode(&mut short).is_none());
+            let mut no_count: &[u8] = &full[..3];
+            assert!(SimMsg::wire_decode(&mut no_count).is_none());
+        }
         // Empty buffer.
         let mut empty: &[u8] = &[];
         assert!(SimMsg::wire_decode(&mut empty).is_none());
         // BeginDay claiming more vaccination orders than bytes present.
         let mut lying = BytesMut::with_capacity(64);
-        lying.put_u8(0); // BEGIN_DAY
+        lying.put_u8(tag::BEGIN_DAY);
         lying.put_u32_le(1);
         lying.put_u8(0);
         lying.put_f64_le(1.0);
@@ -510,26 +575,69 @@ mod tests {
         let lying = lying.freeze();
         let mut slice: &[u8] = &lying;
         assert!(SimMsg::wire_decode(&mut slice).is_none());
+        // Batches claiming more records than bytes present.
+        for t in [tag::VISITS, tag::INFECTS] {
+            for count in [2u32, 1000, u32::MAX] {
+                let mut lying = BytesMut::with_capacity(64);
+                lying.put_u8(t);
+                lying.put_u32_le(count);
+                lying.put_slice(&[0u8; 19]); // room for one record at most
+                let lying = lying.freeze();
+                let mut slice: &[u8] = &lying;
+                assert!(
+                    SimMsg::wire_decode(&mut slice).is_none(),
+                    "tag {t} count {count} must be rejected"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn wire_decode_never_panics(
+            tag in 0u8..6,
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+        ) {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            let mut slice: &[u8] = &bytes;
+            let _ = SimMsg::wire_decode(&mut slice);
+            let mut raw: &[u8] = &body;
+            let _ = SimMsg::wire_decode(&mut raw);
+        }
+    }
+
+    #[test]
+    fn full_chunk_batch_frame_fits_the_default_shm_ring() {
+        use chare_rt::aggregator::Envelope;
+        use chare_rt::net::shm::{RingProducer, ShmRegion};
+        use chare_rt::net::wire::{encode_batch, kind};
+        use chare_rt::{ChareId, RuntimeConfig};
+
+        let ring_bytes = RuntimeConfig::net(2, 2).net.shm_ring_bytes;
+        let region = ShmRegion::create_heap(2, ring_bytes, 1).expect("heap ring");
+        let producer = RingProducer::attach(region, 0, 1).expect("attach");
+        let envelope = [Envelope {
+            to: ChareId(1),
+            msg: visits(BATCH_CHUNK),
+        }];
+        let payload = encode_batch(0, 0, &envelope);
+        assert!(
+            5 + payload.len() <= producer.max_frame(),
+            "a full visit batch ({} B) must fit one ring frame ({} B)",
+            payload.len(),
+            producer.max_frame()
+        );
+        assert!(producer.try_push(kind::BATCH, &payload));
     }
 
     #[test]
     fn message_sizes_reflect_payload() {
-        let v = SimMsg::Visit(VisitMsg {
-            person: 1,
-            location: 2,
-            sublocation: 0,
-            start_min: 0,
-            end_min: 100,
-            state: StateId(0),
-            sus_scale: 1.0,
-        });
-        assert_eq!(v.size_bytes(), 20);
-        let i = SimMsg::Infect(InfectMsg {
-            person: 1,
-            time_min: 10,
-            infector: 2,
-        });
-        assert_eq!(i.size_bytes(), 12);
-        assert!(v.size_bytes() > i.size_bytes());
+        assert_eq!(visits(0).size_bytes(), 5);
+        assert_eq!(visits(1).size_bytes(), 25);
+        assert_eq!(visits(BATCH_CHUNK).size_bytes(), 5 + 20 * BATCH_CHUNK);
+        assert_eq!(infects(1).size_bytes(), 17);
+        assert_eq!(infects(3).size_bytes(), 5 + 12 * 3);
+        assert!(visits(3).size_bytes() > infects(3).size_bytes());
     }
 }

@@ -667,6 +667,39 @@ mod tests {
         assert!(day0.person_phase.totals().busy_ns > 0);
     }
 
+    /// Application-level batching as an exact, host-independent count: a
+    /// day's person phase sends one `Visits` message per (PM, LM) pair
+    /// with traffic plus one per extra full chunk, O(k²) and not
+    /// O(visits). A change that went back to per-visit messages fails here.
+    #[test]
+    fn person_phase_sends_one_batch_per_manager_pair() {
+        use crate::messages::BATCH_CHUNK;
+        let chunk = BATCH_CHUNK as u64;
+        // k = 1: a single pair, so the count is the day's visits in chunks.
+        let one = run(Strategy::RoundRobin, 1, RuntimeConfig::sequential(1), 7);
+        assert!(one.curve.days[0].visits > chunk, "must span several chunks");
+        for (day, perf) in one.curve.days.iter().zip(&one.perf) {
+            let sent = perf.person_phase.totals().sent_total();
+            assert_eq!(sent, day.visits.div_ceil(chunk), "day {}", day.day);
+        }
+        // k = 4: on this world every PM visits every LM each day, with far
+        // fewer than a chunk of visits per pair, so exactly k² messages.
+        let k = 4u64;
+        let four = run(Strategy::RoundRobin, 4, RuntimeConfig::sequential(4), 7);
+        for (day, perf) in four.curve.days.iter().zip(&four.perf) {
+            let sent = perf.person_phase.totals().sent_total();
+            assert_eq!(sent, k * k, "day {}: {} visits", day.day, day.visits);
+            // Infects: at most one batch per (LM, PM) pair that has any.
+            let infect_msgs = perf.location_phase.totals().sent_total();
+            assert!(
+                infect_msgs <= day.infects_sent.min(k * k),
+                "day {}",
+                day.day
+            );
+            assert_eq!(infect_msgs == 0, day.infects_sent == 0, "day {}", day.day);
+        }
+    }
+
     #[test]
     fn observed_run_matches_plain_run_and_pauses_at_boundary() {
         let pop = small_pop();

@@ -5,7 +5,7 @@ use episim_core::distribution::DataDistribution;
 use load_model::{LoadUnits, PiecewiseModel};
 use std::collections::HashMap;
 
-/// Wire size of one visit message (matches `SimMsg::size_bytes`).
+/// Wire size of one visit (the per-record term of `SimMsg::Visits`' `size_bytes`).
 pub const VISIT_BYTES: u64 = 20;
 
 /// Per-partition quantities the day-time model consumes.

@@ -251,10 +251,15 @@ fn negative_control_lossy_transport_changes_the_epidemic() {
 /// What MAY vary across engines and benign plans: wall time, packet
 /// counts, per-PE message splits. What must NOT: the curve hash. This
 /// pins the contract's "allowed to vary" side so it stays honest.
+///
+/// The layout is over-decomposed (16 partitions on 4 PEs): managers batch
+/// their visits per destination manager, so with one partition per PE
+/// each PE sends one message per peer and runtime aggregation would have
+/// nothing left to merge.
 #[test]
 fn packet_counts_may_vary_but_curve_may_not() {
     let pop = pop();
-    let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 4, 19);
+    let dist = DataDistribution::build(&pop, Strategy::RoundRobin, 16, 19);
     let mut agg_on = RuntimeConfig::dst(4, FaultPlan::reorder(5));
     agg_on.smp.pes_per_process = 1; // every PE its own process: all remote
     let mut agg_off = agg_on;
