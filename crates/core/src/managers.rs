@@ -211,10 +211,10 @@ pub struct LocationManager {
     /// Global location ids owned, ordered by local slot.
     locations: Vec<u32>,
     /// Per-location visit buffer for the current day. Kept flat (the kernel
-    /// sorts by a packed sublocation/start/person key): insert-time grouping
-    /// via [`crate::kernel::VisitBuffer`] was measured slower end-to-end,
-    /// because it adds a binary search per received visit on the
-    /// message-receive path — see EXPERIMENTS.md "Performance methodology".
+    /// sorts by a packed sublocation/start/person key): grouping visits by
+    /// sublocation at insert time was measured slower end-to-end, because
+    /// it adds a binary search per received visit on the message-receive
+    /// path (EXPERIMENTS.md, "Performance methodology", a negative result).
     buffers: Vec<Vec<VisitMsg>>,
     classes: InfectivityClasses,
     /// DES working memory reused across locations and days.

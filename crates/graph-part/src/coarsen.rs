@@ -5,7 +5,7 @@
 //! inside coarse vertices — weight refinement can no longer cut — is
 //! maximized.
 
-use crate::graph::{CsrGraph, GraphBuilder};
+use crate::graph::CsrGraph;
 use ptts::CounterRng;
 
 /// One coarsening level: the coarse graph and the fine→coarse vertex map.
@@ -77,48 +77,77 @@ pub fn coarsen_once(g: &CsrGraph, seed: u64) -> Option<CoarseLevel> {
         return None;
     }
 
-    // Contract.
-    let mut b = GraphBuilder::new(coarse_n, g.ncon());
-    let mut wbuf = vec![0u64; g.ncon()];
-    let mut acc: Vec<Vec<u64>> = vec![vec![0; g.ncon()]; coarse_n as usize];
-    for v in 0..n {
-        let cv = map[v as usize] as usize;
-        for (c, w) in g.vwgts(v).iter().enumerate() {
-            acc[cv][c] += w;
+    Some(CoarseLevel {
+        graph: contract(g, &mate, &map, coarse_n),
+        map,
+    })
+}
+
+/// Contract `g` along a matching in O(n + m). Coarse ids are walked in
+/// ascending order; each one's members (its smaller fine id first, then
+/// its mate) merge their rows through the `slot` mark array, summing
+/// parallel edges with `saturating_add` (a saturating sum of unsigned
+/// weights does not depend on order) and dropping edges that fall inside
+/// the coarse vertex. The merged rows are unsorted; the transpose in
+/// [`CsrGraph::from_symmetric_rows`] sorts them, so the coarse graph is
+/// exactly what [`crate::GraphBuilder`] would build from the same edges.
+fn contract(g: &CsrGraph, mate: &[u32], map: &[u32], coarse_n: u32) -> CsrGraph {
+    const NONE: u32 = u32::MAX;
+    let ncon = g.ncon();
+    let mut vwgt = vec![0u64; coarse_n as usize * ncon];
+    let mut xadj = Vec::with_capacity(coarse_n as usize + 1);
+    xadj.push(0u32);
+    let mut rows: Vec<(u32, u32)> = Vec::with_capacity(2 * g.m() as usize);
+    let mut slot = vec![NONE; coarse_n as usize];
+    for v in 0..g.n() {
+        let m = mate[v as usize];
+        if m < v {
+            continue; // second member: merged with its mate
         }
-    }
-    for (cv, ws) in acc.iter().enumerate() {
-        wbuf.copy_from_slice(ws);
-        b.set_vwgt(cv as u32, &wbuf);
-    }
-    for v in 0..n {
-        for (u, w) in g.neighbors(v) {
-            if v < u {
-                let (cv, cu) = (map[v as usize], map[u as usize]);
-                if cv != cu {
-                    b.add_edge(cv, cu, w);
+        let cv = map[v as usize];
+        debug_assert_eq!(cv as usize + 1, xadj.len(), "coarse ids ascend");
+        let members = [v, m];
+        let members = if m == v { &members[..1] } else { &members[..] };
+        let base = cv as usize * ncon;
+        let row_start = rows.len();
+        for &x in members {
+            for (acc, &w) in vwgt[base..base + ncon].iter_mut().zip(g.vwgts(x)) {
+                *acc += w;
+            }
+            for (u, w) in g.neighbors(x) {
+                let cu = map[u as usize];
+                if cu == cv {
+                    continue;
+                }
+                match slot[cu as usize] {
+                    NONE => {
+                        slot[cu as usize] = rows.len() as u32;
+                        rows.push((cu, w));
+                    }
+                    s => rows[s as usize].1 = rows[s as usize].1.saturating_add(w),
                 }
             }
         }
+        for &(cu, _) in &rows[row_start..] {
+            slot[cu as usize] = NONE;
+        }
+        xadj.push(rows.len() as u32);
     }
-    Some(CoarseLevel {
-        graph: b.build(),
-        map,
-    })
+    CsrGraph::from_symmetric_rows(ncon, xadj, rows, vwgt)
 }
 
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
 /// Returns the levels from finest to coarsest.
 pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
+    let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut round = 0u64;
-    while current.n() > target_n {
-        match coarsen_once(&current, seed.wrapping_add(round)) {
-            Some(level) => {
-                current = level.graph.clone();
-                levels.push(level);
-            }
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        match coarsen_once(current, seed.wrapping_add(round)) {
+            Some(level) => levels.push(level),
             None => break,
         }
         round += 1;
@@ -129,7 +158,49 @@ pub fn coarsen_to(g: &CsrGraph, target_n: u32, seed: u64) -> Vec<CoarseLevel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::figure2_example;
+    use crate::graph::tests::edge_weight;
+    use crate::graph::{figure2_example, GraphBuilder};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn contraction_matches_builder_reference(
+            core in 2u32..40,
+            isolated in 0u32..40,
+            ncon in 1usize..4,
+            edges in proptest::collection::vec((0u32..1000, 0u32..1000, edge_weight()), 0..150),
+            seed in 0u64..1000,
+        ) {
+            // A perfect-matching backbone on the first `core` vertices
+            // keeps any maximal matching above 10% of the vertices, so
+            // coarsening never stalls; the rest stay isolated.
+            let n = core + isolated.min(core);
+            let mut b = GraphBuilder::new(n, ncon);
+            for v in 0..n {
+                let ws: Vec<u64> = (0..ncon as u64).map(|c| (v as u64 * 7 + c) % 5).collect();
+                b.set_vwgt(v, &ws);
+            }
+            for v in (1..core).step_by(2) {
+                b.add_edge(v - 1, v, 1);
+            }
+            for &(u, v, w) in &edges {
+                b.add_edge(u % core, v % core, w);
+            }
+            let g = b.build();
+            let level = coarsen_once(&g, seed).expect("backbone matching shrinks n by > 10%");
+            let mut reference = GraphBuilder::new(level.graph.n(), ncon);
+            for v in 0..n {
+                let cv = level.map[v as usize];
+                for c in 0..ncon {
+                    reference.add_vwgt(cv, c, g.vwgt(v, c));
+                }
+                for (u, w) in g.neighbors(v).filter(|&(u, _)| v < u) {
+                    reference.add_edge(cv, level.map[u as usize], w);
+                }
+            }
+            prop_assert_eq!(level.graph, reference.build());
+        }
+    }
 
     fn path_graph(n: u32) -> CsrGraph {
         let mut b = GraphBuilder::new(n, 1);

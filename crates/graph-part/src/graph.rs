@@ -85,8 +85,11 @@ impl CsrGraph {
         self.adjwgt.iter().map(|&w| w as u64).sum::<u64>() / 2
     }
 
-    /// Structural validation: symmetric adjacency, no self-loops, weights
-    /// consistent.
+    /// Structural validation: offsets in range, every row strictly
+    /// ascending (partitioner tie-breaks depend on that order), no
+    /// self-loops, symmetric adjacency with equal weights. Runs in
+    /// O(m log Δ) (symmetry by binary search in the sorted row), so it is
+    /// cheap enough for benchmark-size graphs.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.n();
         if self.adjncy.len() != self.adjwgt.len() {
@@ -95,7 +98,17 @@ impl CsrGraph {
         if self.vwgt.len() != n as usize * self.ncon {
             return Err("vwgt length mismatch".into());
         }
+        if self.xadj[0] != 0 || self.xadj[n as usize] as usize != self.adjncy.len() {
+            return Err("xadj does not span adjncy".into());
+        }
+        if self.xadj.windows(2).any(|w| w[0] > w[1]) {
+            return Err("xadj not monotone".into());
+        }
         for v in 0..n {
+            let row = self.row(v);
+            if let Some(i) = row.windows(2).position(|p| p[0] >= p[1]) {
+                return Err(format!("row {v} not strictly ascending at {i}"));
+            }
             for (u, w) in self.neighbors(v) {
                 if u >= n {
                     return Err(format!("edge ({v},{u}) out of range"));
@@ -103,12 +116,55 @@ impl CsrGraph {
                 if u == v {
                     return Err(format!("self-loop at {v}"));
                 }
-                if !self.neighbors(u).any(|(x, wx)| x == v && wx == w) {
+                let back = self.row(u).binary_search(&v).ok();
+                if back.map(|i| self.adjwgt[self.xadj[u as usize] as usize + i]) != Some(w) {
                     return Err(format!("asymmetric edge ({v},{u})"));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Neighbor ids of `v` (ascending).
+    #[inline]
+    fn row(&self, v: u32) -> &[u32] {
+        &self.adjncy[self.xadj[v as usize] as usize..self.xadj[v as usize + 1] as usize]
+    }
+
+    /// Assemble a graph from symmetric rows given in any order within
+    /// each row (`rows[xadj[v]..xadj[v + 1]]` holds `(neighbour, weight)`;
+    /// no duplicates, no self-loops). One counting-sort transpose puts
+    /// every row in ascending order: sources are scanned in ascending id,
+    /// so row `u` of the transpose receives its entries ascending, and by
+    /// symmetry it holds exactly row `u`'s entries. The transpose's row
+    /// lengths equal the input's, so `xadj` carries over. Every CSR graph
+    /// in this crate is assembled here.
+    pub(crate) fn from_symmetric_rows(
+        ncon: usize,
+        xadj: Vec<u32>,
+        rows: Vec<(u32, u32)>,
+        vwgt: Vec<u64>,
+    ) -> CsrGraph {
+        let n = xadj.len() - 1;
+        let mut cursor = xadj[..n].to_vec();
+        let mut sorted = vec![(0u32, 0u32); rows.len()];
+        for v in 0..n {
+            for &(u, w) in &rows[xadj[v] as usize..xadj[v + 1] as usize] {
+                let slot = &mut cursor[u as usize];
+                sorted[*slot as usize] = (v as u32, w);
+                *slot += 1;
+            }
+        }
+        debug_assert!(cursor.iter().zip(&xadj[1..]).all(|(c, end)| c == end));
+        drop(rows);
+        let (adjncy, adjwgt) = sorted.into_iter().unzip();
+        CsrGraph {
+            ncon,
+            xadj,
+            adjncy,
+            adjwgt,
+            vwgt,
+        }
     }
 }
 
@@ -159,50 +215,57 @@ impl GraphBuilder {
         self.edges.push((a, b, w));
     }
 
-    /// Build the CSR graph (sorts and merges edges).
-    pub fn build(mut self) -> CsrGraph {
-        self.edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        // Merge parallel edges (saturating to keep u32 weights safe).
-        let mut merged: Vec<(u32, u32, u32)> = Vec::with_capacity(self.edges.len());
-        for &(u, v, w) in &self.edges {
-            match merged.last_mut() {
-                Some(last) if last.0 == u && last.1 == v => {
-                    last.2 = last.2.saturating_add(w);
-                }
-                _ => merged.push((u, v, w)),
-            }
-        }
+    /// Build the CSR graph: parallel edges merge (saturating, to keep u32
+    /// weights safe) and every row is ascending. Linear in edges: bucket
+    /// both directions of every edge by source, merge each row's
+    /// duplicates through a mark array, then sort rows by transpose.
+    pub fn build(self) -> CsrGraph {
+        const NONE: u32 = u32::MAX;
         let n = self.n as usize;
-        let mut deg = vec![0u32; n + 1];
-        for &(u, v, _) in &merged {
-            deg[u as usize + 1] += 1;
-            deg[v as usize + 1] += 1;
+        let mut xadj = vec![0u32; n + 1];
+        for &(u, v, _) in &self.edges {
+            xadj[u as usize + 1] += 1;
+            xadj[v as usize + 1] += 1;
         }
         for i in 1..=n {
-            deg[i] += deg[i - 1];
+            xadj[i] += xadj[i - 1];
         }
-        let xadj = deg.clone();
-        let mut cursor = deg;
-        let m2 = merged.len() * 2;
-        let mut adjncy = vec![0u32; m2];
-        let mut adjwgt = vec![0u32; m2];
-        for &(u, v, w) in &merged {
-            let cu = cursor[u as usize] as usize;
-            adjncy[cu] = v;
-            adjwgt[cu] = w;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            adjncy[cv] = u;
-            adjwgt[cv] = w;
-            cursor[v as usize] += 1;
+        let mut cursor = xadj[..n].to_vec();
+        let mut rows = vec![(0u32, 0u32); self.edges.len() * 2];
+        for &(u, v, w) in &self.edges {
+            for (a, b) in [(u, v), (v, u)] {
+                let c = &mut cursor[a as usize];
+                rows[*c as usize] = (b, w);
+                *c += 1;
+            }
         }
-        CsrGraph {
-            ncon: self.ncon,
-            xadj,
-            adjncy,
-            adjwgt,
-            vwgt: self.vwgt,
+        drop(self.edges);
+
+        // Merge each row's parallel edges in place: `slot[u]` is u's entry
+        // in the row being compacted.
+        let mut slot = vec![NONE; n];
+        let mut len = 0usize;
+        for v in 0..n {
+            let (lo, hi) = (xadj[v] as usize, xadj[v + 1] as usize);
+            xadj[v] = len as u32;
+            for i in lo..hi {
+                let (u, w) = rows[i];
+                match slot[u as usize] {
+                    NONE => {
+                        slot[u as usize] = len as u32;
+                        rows[len] = (u, w);
+                        len += 1;
+                    }
+                    s => rows[s as usize].1 = rows[s as usize].1.saturating_add(w),
+                }
+            }
+            for &(u, _) in &rows[xadj[v] as usize..len] {
+                slot[u as usize] = NONE;
+            }
         }
+        xadj[n] = len as u32;
+        rows.truncate(len);
+        CsrGraph::from_symmetric_rows(self.ncon, xadj, rows, self.vwgt)
     }
 }
 
@@ -235,8 +298,82 @@ pub fn figure2_example() -> CsrGraph {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Small weights (zero included) and weights near `u32::MAX`, so that
+    /// parallel edges take the saturating merge.
+    pub(crate) fn edge_weight() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..4, u32::MAX - 4..u32::MAX]
+    }
+
+    proptest! {
+        #[test]
+        fn builder_matches_sorted_reference(
+            n in 1u32..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, edge_weight()), 0..200),
+        ) {
+            let mut b = GraphBuilder::new(n, 1);
+            // Both directions of every edge, ordered by (row, neighbour).
+            let mut rows: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+            for &(u, v, w) in &edges {
+                let (u, v) = (u % n, v % n);
+                b.add_edge(u, v, w);
+                if u != v {
+                    for key in [(u, v), (v, u)] {
+                        let e = rows.entry(key).or_insert(0);
+                        *e = e.saturating_add(w);
+                    }
+                }
+            }
+            let mut xadj = vec![0u32; n as usize + 1];
+            for &(u, _) in rows.keys() {
+                xadj[u as usize + 1] += 1;
+            }
+            for i in 1..xadj.len() {
+                xadj[i] += xadj[i - 1];
+            }
+            let reference = CsrGraph {
+                ncon: 1,
+                xadj,
+                adjncy: rows.keys().map(|&(_, v)| v).collect(),
+                adjwgt: rows.values().copied().collect(),
+                vwgt: vec![0; n as usize],
+            };
+            let g = b.build();
+            g.validate().unwrap();
+            prop_assert_eq!(g, reference);
+        }
+    }
+
+    #[test]
+    fn validate_rejects_unsorted_and_asymmetric_rows() {
+        let good = CsrGraph {
+            ncon: 1,
+            xadj: vec![0, 2, 3, 4],
+            adjncy: vec![1, 2, 0, 0],
+            adjwgt: vec![1, 1, 1, 1],
+            vwgt: vec![1; 3],
+        };
+        good.validate().unwrap();
+        let unsorted = CsrGraph {
+            adjncy: vec![2, 1, 0, 0],
+            ..good.clone()
+        };
+        assert!(unsorted.validate().unwrap_err().contains("ascending"));
+        let asymmetric = CsrGraph {
+            adjwgt: vec![1, 2, 1, 1],
+            ..good.clone()
+        };
+        assert!(asymmetric.validate().unwrap_err().contains("asymmetric"));
+        let duplicate = CsrGraph {
+            adjncy: vec![1, 1, 0, 0],
+            ..good
+        };
+        assert!(duplicate.validate().is_err());
+    }
 
     #[test]
     fn builder_produces_symmetric_csr() {

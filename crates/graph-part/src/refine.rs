@@ -64,6 +64,32 @@ pub fn refine_targets(
         tracker.add(g, p.assignment[v as usize], v);
     }
 
+    // Per-vertex internal/external degrees (METIS's id/ed): edge weight
+    // to the vertex's own partition, edge weight to other partitions, and
+    // the number of neighbours in other partitions. Kept exact across
+    // moves, they let most vertices skip the neighbour scan.
+    let mut id = vec![0u64; n as usize];
+    let mut ed = vec![0u64; n as usize];
+    let mut ext = vec![0u32; n as usize];
+    for v in 0..n {
+        let pv = p.assignment[v as usize];
+        let (mut internal, mut total, mut same) = (0u64, 0u64, 0u32);
+        for (u, w) in g.neighbors(v) {
+            let inside = p.assignment[u as usize] == pv;
+            internal += if inside { w as u64 } else { 0 };
+            total += w as u64;
+            same += inside as u32;
+        }
+        id[v as usize] = internal;
+        ed[v as usize] = total - internal;
+        ext[v as usize] = g.degree(v) - same;
+    }
+    // Whether each partition is within the balance limit; changes only
+    // when a move changes the loads.
+    let mut within: Vec<bool> = (0..k)
+        .map(|q| tracker.fullness(q) <= cfg.ubfactor)
+        .collect();
+
     let mut rng = CounterRng::from_key(&[cfg.seed, 0x0EF1]);
     let mut order: Vec<u32> = (0..n).collect();
     let mut total_improvement = 0u64;
@@ -94,27 +120,27 @@ pub fn refine_targets(
 
         for &v in &order {
             let from = p.assignment[v as usize];
+            // Scan only vertices that can move. From a partition within
+            // the limit, an interior vertex has no candidate, and one with
+            // ed < id has only candidates of gain ≤ ed − id < 0, which are
+            // accepted only from an overloaded partition. A count, not a
+            // weight, decides "interior", so zero-weight edges still make
+            // a vertex boundary.
+            let vi = v as usize;
+            if (ext[vi] == 0 || ed[vi] < id[vi]) && within[from as usize] {
+                continue;
+            }
             // Gather connection weights to neighboring partitions.
             touched.clear();
-            let mut is_boundary = false;
             for (u, w) in g.neighbors(v) {
                 let pu = p.assignment[u as usize];
                 if conn[pu as usize] == 0 {
                     touched.push(pu);
                 }
                 conn[pu as usize] += w as u64;
-                if pu != from {
-                    is_boundary = true;
-                }
             }
             let from_fullness = tracker.fullness(from);
             let overloaded = from_fullness > cfg.ubfactor;
-            if !is_boundary && !overloaded {
-                for &t in &touched {
-                    conn[t as usize] = 0;
-                }
-                continue;
-            }
             let conn_from = conn[from as usize];
 
             // Best candidate partition among neighbors (plus the lightest
@@ -155,7 +181,32 @@ pub fn refine_targets(
             if let Some((to, gain, _)) = best {
                 tracker.remove(g, from, v);
                 tracker.add(g, to, v);
+                within[from as usize] = tracker.fullness(from) <= cfg.ubfactor;
+                within[to as usize] = tracker.fullness(to) <= cfg.ubfactor;
                 p.assignment[v as usize] = to;
+                // Neighbours in `from` lose an internal edge, those in `to`
+                // gain one; v's own degrees are recounted against `to`.
+                let (mut v_id, mut v_ed, mut v_ext) = (0u64, 0u64, 0u32);
+                for (u, w) in g.neighbors(v) {
+                    let (ui, w) = (u as usize, w as u64);
+                    let pu = p.assignment[ui];
+                    if pu == from {
+                        id[ui] -= w;
+                        ed[ui] += w;
+                        ext[ui] += 1;
+                    } else if pu == to {
+                        id[ui] += w;
+                        ed[ui] -= w;
+                        ext[ui] -= 1;
+                    }
+                    if pu == to {
+                        v_id += w;
+                    } else {
+                        v_ed += w;
+                        v_ext += 1;
+                    }
+                }
+                (id[vi], ed[vi], ext[vi]) = (v_id, v_ed, v_ext);
                 if gain > 0 {
                     pass_improvement += gain as u64;
                 }

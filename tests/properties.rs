@@ -3,10 +3,7 @@
 
 use episimdemics::chare_rt::RuntimeConfig;
 use episimdemics::core::distribution::{DataDistribution, Strategy as DistStrategy};
-use episimdemics::core::kernel::{
-    simulate_location_day, simulate_location_day_grouped, InfectivityClasses, KernelScratch,
-    VisitBuffer,
-};
+use episimdemics::core::kernel::{simulate_location_day, InfectivityClasses, KernelScratch};
 use episimdemics::core::messages::{InfectMsg, VisitMsg};
 use episimdemics::core::seq::run_sequential;
 use episimdemics::core::simulator::{SimConfig, Simulator};
@@ -351,38 +348,6 @@ proptest! {
         );
         prop_assert_eq!(out_a, out_b);
         prop_assert_eq!(fa, fb);
-    }
-
-    /// The insert-time-grouped kernel path is bit-identical to the flat
-    /// path on the same visits, whatever order they were pushed in.
-    #[test]
-    fn grouped_kernel_matches_flat(
-        visits in arb_visits(),
-        shuffle_seed in 0u64..10_000,
-        r_scale in 1u32..80,
-    ) {
-        let r_eff = r_scale as f64 * 1e-4;
-        let ptts = flu_model();
-        let classes = InfectivityClasses::new(&ptts);
-        let mut scratch = KernelScratch::new();
-
-        let mut flat = visits.clone();
-        let mut out_flat = Vec::new();
-        let ff = simulate_location_day(
-            &mut flat, &ptts, &classes, r_eff, 11, 4, &mut scratch, &mut out_flat,
-        );
-        let mut shuffled = visits;
-        shuffle(&mut shuffled, shuffle_seed);
-        let mut buf = VisitBuffer::new();
-        for v in shuffled {
-            buf.push(v);
-        }
-        let mut out_grouped = Vec::new();
-        let fg = simulate_location_day_grouped(
-            &mut buf, &ptts, &classes, r_eff, 11, 4, &mut scratch, &mut out_grouped,
-        );
-        prop_assert_eq!(out_flat, out_grouped);
-        prop_assert_eq!(ff, fg);
     }
 
     /// The scratch-buffer sweep kernel produces the exact `InfectMsg`
