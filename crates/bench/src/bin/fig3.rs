@@ -9,8 +9,9 @@
 //! (d) static load distribution per location, log-binned.
 
 use bench::{fnum, gen_state, print_table, FIGURE_STATES};
-use episim_core::kernel::{simulate_location_day, InfectivityClasses, KernelScratch};
+use episim_core::kernel::{simulate_location, InfectivityClasses, KernelParams, KernelScratch};
 use episim_core::messages::VisitMsg;
+use episim_core::schedule::{DayVisits, VisitSchedule};
 use load_model::fit::{fit_multilinear, fit_piecewise, mape, r_squared};
 use load_model::{LoadUnits, PiecewiseModel};
 use ptts::crng::{CounterRng, Purpose};
@@ -18,31 +19,34 @@ use ptts::flu_model;
 use std::time::Instant;
 use synthpop::{BipartiteGraph, LocationId, LogHistogram, Population};
 
-/// Build day-0 visit buffers per location, seeding a fraction of the
-/// population infectious so the kernel's interaction paths execute.
-fn location_buffers(pop: &Population, infectious_frac: f64) -> Vec<Vec<VisitMsg>> {
+/// Record a day-0 visit message for every visit of `pop`, seeding a
+/// fraction of the population infectious so the kernel's interaction
+/// paths execute.
+fn day_visits(
+    pop: &Population,
+    schedule: &VisitSchedule,
+    classes: &InfectivityClasses,
+    infectious_frac: f64,
+) -> DayVisits {
     let ptts = flu_model();
     let sym = ptts.state_by_name("symptomatic").unwrap();
     let start = ptts.start_state();
-    let mut buffers: Vec<Vec<VisitMsg>> = vec![Vec::new(); pop.locations.len()];
-    for v in &pop.visits {
+    let mut visits = DayVisits::for_parts(schedule, 0..1);
+    for (i, v) in pop.visits.iter().enumerate() {
         let mut rng = CounterRng::for_entity(7, v.person.0 as u64, 0, Purpose::Synthesis);
         let state = if rng.bernoulli(infectious_frac) {
             sym
         } else {
             start
         };
-        buffers[v.location.0 as usize].push(VisitMsg {
-            person: v.person.0,
-            location: v.location.0,
-            sublocation: v.sublocation.0,
-            start_min: v.start_min,
-            end_min: v.end_min(),
+        let msg = VisitMsg {
+            slot: schedule.slot_of_visit(i),
             state,
             sus_scale: 1.0,
-        });
+        };
+        visits.record(classes, &msg);
     }
-    buffers
+    visits
 }
 
 fn main() {
@@ -51,40 +55,35 @@ fn main() {
     let classes = InfectivityClasses::new(&ptts);
     let pop = gen_state("CA");
 
-    // ---- (a) measure the kernel per location.
-    let buffers = location_buffers(&pop, 0.02);
-    let mut samples: Vec<(f64, f64)> = Vec::new(); // (events, min-of-3 ns)
+    // ---- (a) measure the kernel per location. The kernel only reads the
+    // day's records, so each location can be timed repeatedly.
+    let schedule = VisitSchedule::unpartitioned(&pop);
+    let visits = day_visits(&pop, &schedule, &classes, 0.02);
+    let params = KernelParams {
+        ptts: &ptts,
+        classes: &classes,
+        r_eff: 0.0008,
+        seed: 3,
+        day: 0,
+    };
+    let mut samples: Vec<(f64, f64)> = Vec::new(); // (events, min-of-5 ns)
     let mut dyn_rows: Vec<Vec<f64>> = Vec::new();
     let mut dyn_ys: Vec<f64> = Vec::new();
     let mut out = Vec::new();
     let mut scratch = KernelScratch::new();
-    for (l, buf) in buffers.iter().enumerate() {
-        if buf.is_empty() {
-            continue;
-        }
+    for rank in visits.ranks() {
+        let features = simulate_location(&schedule, &visits, rank, &params, &mut scratch, &mut out);
         // Skip the tiniest locations: timer noise swamps sub-µs kernels.
-        if buf.len() < 12 {
+        if features.events < 2 * 12 {
             continue;
         }
         let mut best = f64::INFINITY;
-        let mut features = Default::default();
         for _ in 0..5 {
-            let mut work = buf.clone();
             out.clear();
             let t0 = Instant::now();
-            features = simulate_location_day(
-                &mut work,
-                &ptts,
-                &classes,
-                0.0008,
-                3,
-                0,
-                &mut scratch,
-                &mut out,
-            );
+            simulate_location(&schedule, &visits, rank, &params, &mut scratch, &mut out);
             best = best.min(t0.elapsed().as_nanos() as f64);
         }
-        let _ = l;
         samples.push((features.events as f64, best));
         dyn_rows.push(vec![
             features.events as f64,

@@ -844,7 +844,7 @@ mod tests {
         // Drain one frame; exactly one slot frees up.
         let mut fb = FrameBuf::default();
         let mut scratch = [0u8; 1024];
-        c.read(&mut scratch).unwrap();
+        assert_eq!(c.read(&mut scratch).unwrap(), scratch.len());
         assert!(p.try_push(4, &body), "space must reopen after a drain");
         assert!(!p.try_push(4, &body), "and only one frame's worth");
         // Drain everything left and verify frame integrity end to end.

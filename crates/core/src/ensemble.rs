@@ -10,8 +10,8 @@
 //! * [`CowWorld`] — synthpop, disease model, and the §II-C layout maps are
 //!   computed once and shared immutably (`Arc`) by every member. Building a
 //!   member aliases three pointers; nothing is deep-copied.
-//! * [`MemberArena`] — all per-run mutable state (person slots, visit
-//!   buffers, DES scratch) packed into one reusable arena. A worker runs
+//! * [`MemberArena`] — all per-run mutable state (person slots, the day's
+//!   received visits, DES scratch) packed into one reusable arena. A worker runs
 //!   its members back-to-back out of the same arena, so steady-state
 //!   ensemble throughput allocates almost nothing per run.
 //! * [`run_sweep`] — an ensemble scheduler that fans whole runs across a
@@ -32,9 +32,10 @@
 
 use crate::distribution::DataDistribution;
 use crate::kernel::KernelScratch;
-use crate::messages::{InfectMsg, VisitMsg, WorldLayout};
+use crate::messages::{InfectMsg, WorldLayout};
 use crate::output::{curve_hash, EpiCurve};
 use crate::person::PersonSlot;
+use crate::schedule::{DayVisits, VisitSchedule};
 use crate::seq::run_sequential_into;
 use crate::simulator::SimConfig;
 use ptts::intervention::InterventionSet;
@@ -55,7 +56,7 @@ pub struct CowWorld {
     pub pop: Arc<Population>,
     /// The disease model.
     pub ptts: Arc<Ptts>,
-    /// The §II-C index maps.
+    /// The §II-C index maps and the static visit schedule.
     pub layout: Arc<WorldLayout>,
 }
 
@@ -72,8 +73,8 @@ impl CowWorld {
 }
 
 /// All mutable state of one ensemble member, packed together so a worker
-/// can reuse it across runs: person slots, the per-location visit buffers,
-/// the day's infect list, and the DES kernel scratch.
+/// can reuse it across runs: person slots, the day's received visits, the
+/// infect buffer, and the DES kernel scratch.
 ///
 /// [`crate::seq::run_sequential_into`] resets the arena at the start of
 /// every run, so results are bit-identical whether an arena is fresh or has
@@ -82,11 +83,9 @@ impl CowWorld {
 pub struct MemberArena {
     /// Per-person disease state.
     pub(crate) slots: Vec<PersonSlot>,
-    /// Per-location visit buffers for the current day.
-    pub(crate) buffers: Vec<Vec<VisitMsg>>,
-    /// One person's visits being routed (cleared per person).
-    pub(crate) visit_buf: Vec<VisitMsg>,
-    /// The day's infect messages.
+    /// The day's received visits, over every slot of the schedule.
+    pub(crate) visits: DayVisits,
+    /// One location's infect messages.
     pub(crate) infects: Vec<InfectMsg>,
     /// DES kernel working memory.
     pub(crate) scratch: KernelScratch,
@@ -99,18 +98,12 @@ impl MemberArena {
     }
 
     /// Reset to the initial state for a fresh run over `n_people` persons
-    /// and `n_locations` locations, reusing capacity.
-    pub(crate) fn reset(&mut self, n_people: usize, n_locations: usize, ptts: &Ptts) {
+    /// and every slot of `schedule`, reusing capacity.
+    pub(crate) fn reset(&mut self, n_people: usize, schedule: &VisitSchedule, ptts: &Ptts) {
         self.slots.clear();
         self.slots
             .extend((0..n_people).map(|p| PersonSlot::new(p as u32, ptts)));
-        if self.buffers.len() < n_locations {
-            self.buffers.resize_with(n_locations, Vec::new);
-        }
-        for b in &mut self.buffers {
-            b.clear();
-        }
-        self.visit_buf.clear();
+        self.visits.reset(schedule, 0..schedule.n_parts());
         self.infects.clear();
     }
 
@@ -339,7 +332,13 @@ pub fn run_sweep(world: &CowWorld, spec: &EnsembleSpec, workers: u32) -> ResultS
                         break;
                     }
                     let cfg = spec.config_for(idx);
-                    let curve = run_sequential_into(&world.pop, &world.ptts, &cfg, &mut arena);
+                    let curve = run_sequential_into(
+                        &world.pop,
+                        &world.ptts,
+                        &world.layout.schedule,
+                        &cfg,
+                        &mut arena,
+                    );
                     out.push((idx, curve));
                 }
                 out
@@ -816,7 +815,7 @@ mod tests {
         assert_eq!(one.n_seeds(), 3);
         // Index placement: member (point, seed) equals a standalone run of
         // that member's config.
-        let cfg12 = spec.config_for(1 * spec.seeds.len() + 2);
+        let cfg12 = spec.config_for(spec.seeds.len() + 2);
         let standalone = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg12);
         assert_eq!(one.curve(1, 2), &standalone);
         // More transmissible points infect more on average.
@@ -856,8 +855,9 @@ mod tests {
         // Dirty the arena with a different run first.
         let mut other = cfg.clone();
         other.seed = 7777;
-        let _ = run_sequential_into(&world.pop, &world.ptts, &other, &mut arena);
-        let reused = run_sequential_into(&world.pop, &world.ptts, &cfg, &mut arena);
+        let schedule = &world.layout.schedule;
+        let _ = run_sequential_into(&world.pop, &world.ptts, schedule, &other, &mut arena);
+        let reused = run_sequential_into(&world.pop, &world.ptts, schedule, &cfg, &mut arena);
         let fresh = crate::seq::run_sequential(&dist.pop, &world.ptts, &cfg);
         assert_eq!(reused, fresh);
     }

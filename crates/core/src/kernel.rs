@@ -6,41 +6,45 @@
 //! and infectious people who are at the location at the same time."
 //!
 //! People only interact within the same *sublocation* (§III-C), so the
-//! sweep runs per sublocation. Exposure is accumulated exactly but in
-//! O(E log E) rather than O(pairs): infectivity values are drawn from the
-//! finite PTTS state set, so we maintain one cumulative occupancy-time
-//! integral per distinct infectivity class; a susceptible's pairwise
-//! exposure `Σ_j τ_ij · ln(1 − r·s_i·ι_j)` factors through those class
-//! integrals. Infector attribution (rare) falls back to a pairwise pass.
+//! sweep runs per sublocation group of the static [`VisitSchedule`], and
+//! only over groups an infectious person visits today. The event order
+//! needs no sort: arrivals are the group's slots in canonical order and
+//! departures its precomputed `(end, slot)` order, both filtered by
+//! today's presence and merged with departures first at equal times.
+//! Exposure is accumulated exactly but in O(E) per group rather than
+//! O(pairs): infectivity values are drawn from the finite PTTS state set,
+//! so we maintain one cumulative occupancy-time integral per distinct
+//! infectivity class; a susceptible's pairwise exposure
+//! `Σ_j τ_ij · ln(1 − r·s_i·ι_j)` factors through those class integrals.
+//! Infector attribution (rare) falls back to a pairwise pass.
 
-use crate::messages::{InfectMsg, VisitMsg};
+use crate::messages::InfectMsg;
+use crate::schedule::{DayVisits, VisitSchedule};
 use ptts::crng::{CounterRng, Purpose};
+use ptts::model::StateId;
 use ptts::transmission::select_infector;
 use ptts::Ptts;
 
-/// Reusable working memory for [`simulate_location_day`]. One instance per
+/// Reusable working memory for [`simulate_location`]. One instance per
 /// owner (LocationManager chare or sequential driver) serves every location
 /// and every day: all buffers grow to the high-water mark once and are then
 /// recycled, so the steady-state DES sweep performs no heap allocation.
 #[derive(Debug, Default)]
 pub struct KernelScratch {
-    /// Event list: `(key, visit index)` with `key = t << 1 | is_arrive`,
-    /// so departs order before arrives at equal times.
-    events: Vec<(u32, u32)>,
-    /// Counting-sort output buffer (same layout as `events`).
-    sorted: Vec<(u32, u32)>,
-    /// Counting-sort bucket offsets, indexed by event key.
-    buckets: Vec<u32>,
+    /// Today's staying visits of the current group, in arrival (slot)
+    /// order.
+    occupants: Vec<Occupant>,
+    /// Per slot of the current group: its index in `occupants`
+    /// (`u32::MAX` = absent or zero-length today).
+    occupant_of_slot: Vec<u32>,
     /// ∫ count_c dt per infectivity class.
     cit: Vec<f64>,
     /// Infectious currently present, per class.
     present: Vec<u32>,
-    /// Per-visit susceptible sweep state for the current sublocation.
-    sus_meta: Vec<SusMeta>,
     /// Snapshot arena: `cit` captured at each susceptible arrival, stored
     /// flat with stride `classes.n()` (replaces a per-arrival `Vec` clone).
     snap_arena: Vec<f64>,
-    /// Infector-attribution candidates `(visit index, p_j)`.
+    /// Infector-attribution candidates `(person, p_j)`.
     cands: Vec<(u32, f64)>,
     /// Candidate probabilities, parallel to `cands`.
     probs: Vec<f64>,
@@ -106,7 +110,7 @@ impl InfectivityClasses {
         let mut class_of_state = vec![u8::MAX; ptts.n_states()];
         let mut iota = Vec::new();
         for (s, slot) in class_of_state.iter_mut().enumerate() {
-            let inf = ptts.infectivity(ptts::model::StateId(s as u16));
+            let inf = ptts.infectivity(StateId(s as u16));
             if inf > 0.0 {
                 let class = iota
                     .iter()
@@ -130,104 +134,98 @@ impl InfectivityClasses {
     }
 
     #[inline]
-    fn class(&self, state: ptts::model::StateId) -> Option<usize> {
+    fn class(&self, state: StateId) -> Option<usize> {
         let c = self.class_of_state[state.0 as usize];
         (c != u8::MAX).then_some(c as usize)
     }
+
+    /// Whether a visitor in `state` makes its sublocation hot.
+    #[inline]
+    pub fn is_infectious(&self, state: StateId) -> bool {
+        self.class_of_state[state.0 as usize] != u8::MAX
+    }
 }
 
-/// Run one location's DES for one day over a flat visit slice.
+/// Everything the kernel reads besides the visits: the disease model, its
+/// infectivity classes, the effective per-minute transmissibility
+/// `r_eff`, and the `(seed, day)` that key the infection draws.
+#[derive(Debug, Clone, Copy)]
+pub struct KernelParams<'a> {
+    /// The disease model.
+    pub ptts: &'a Ptts,
+    /// Its infectivity classes.
+    pub classes: &'a InfectivityClasses,
+    /// Effective transmissibility `r × r_scale`.
+    pub r_eff: f64,
+    /// Simulation seed.
+    pub seed: u64,
+    /// Simulation day.
+    pub day: u32,
+}
+
+/// One visit present today, as the sweep sees it.
+#[derive(Debug, Clone, Copy)]
+struct Occupant {
+    person: u32,
+    start_min: u16,
+    end_min: u16,
+    state: StateId,
+    sus_scale: f32,
+    /// Sweep state while this visit is inside, if it is a tracked
+    /// susceptible.
+    meta: SusMeta,
+}
+
+/// Run the DES of location rank `rank` over today's received visits.
 ///
-/// `visits` is the day's buffer (any order — it is sorted internally, so
-/// results are independent of message arrival order). Returns the infect
-/// messages and the load-model features. `r_eff` is the effective
-/// per-minute transmissibility. `scratch` supplies all working memory; a
-/// reused instance makes the sweep allocation-free in steady state.
-#[allow(clippy::too_many_arguments)]
+/// The only kernel entry: LocationManagers of every engine and the
+/// plain-loop oracle reach it through [`DayVisits::compute`]. `events`
+/// counts every present visit twice; only hot groups are swept, in
+/// ascending order, so the features and the infect stream equal those of
+/// a sweep over every present visit. Infect messages are appended to
+/// `out`; `scratch` supplies all working memory, so a reused instance makes
+/// the sweep allocation-free in steady state.
 #[simlint_macros::hot_path]
-pub fn simulate_location_day(
-    visits: &mut [VisitMsg],
-    ptts: &Ptts,
-    classes: &InfectivityClasses,
-    r_eff: f64,
-    seed: u64,
-    day: u32,
+pub fn simulate_location(
+    sched: &VisitSchedule,
+    visits: &DayVisits,
+    rank: usize,
+    params: &KernelParams<'_>,
     scratch: &mut KernelScratch,
     out: &mut Vec<InfectMsg>,
 ) -> LocationDayFeatures {
-    let mut features = LocationDayFeatures {
-        events: 2 * visits.len() as u64,
-        ..Default::default()
-    };
-    if visits.is_empty() {
-        return features;
-    }
-    // Fast path: with no infectious visitor the sweep provably produces
-    // no interactions and no infections — `features` already holds its
-    // final value. One O(n) scan replaces the sort + event sweep, and
-    // over a whole epidemic most location-days take this exit.
-    if !visits.iter().any(|v| classes.class(v.state).is_some()) {
-        return features;
-    }
-    // Deterministic order: by sublocation, then start, then person — one
-    // u64 key (16+16+32 bits) so the sort compares single integers.
-    visits.sort_unstable_by_key(visit_key);
-
-    let mut lo = 0usize;
-    while lo < visits.len() {
-        let subloc = visits[lo].sublocation;
-        let mut hi = lo + 1;
-        while hi < visits.len() && visits[hi].sublocation == subloc {
-            hi += 1;
+    let mut features = LocationDayFeatures::default();
+    for g in sched.groups_of_rank(rank) {
+        features.events += 2 * visits.present_in(g) as u64;
+        if visits.is_hot(g) {
+            simulate_sublocation(sched, visits, g, params, scratch, out, &mut features);
         }
-        let range = &visits[lo..hi];
-        if !range.iter().any(|v| classes.class(v.state).is_some()) {
-            lo = hi;
-            continue;
-        }
-        simulate_sublocation(
-            range,
-            ptts,
-            classes,
-            r_eff,
-            seed,
-            day,
-            scratch,
-            out,
-            &mut features,
-        );
-        lo = hi;
     }
     features
 }
 
-#[inline]
-fn visit_key(v: &VisitMsg) -> u64 {
-    ((v.sublocation as u64) << 48) | ((v.start_min as u64) << 32) | v.person as u64
-}
-
-/// Sweep events of one sublocation (visits already in canonical order).
-#[allow(clippy::too_many_arguments)]
+/// Sweep the events of one hot group: arrivals in slot order, departures
+/// in the static `(end, slot)` order, absent and zero-length visits
+/// skipped, departures first at equal times (zero-overlap pairs do not
+/// interact).
 #[simlint_macros::hot_path]
 fn simulate_sublocation(
-    visits: &[VisitMsg],
-    ptts: &Ptts,
-    classes: &InfectivityClasses,
-    r_eff: f64,
-    seed: u64,
-    day: u32,
+    sched: &VisitSchedule,
+    visits: &DayVisits,
+    g: usize,
+    params: &KernelParams<'_>,
     scratch: &mut KernelScratch,
     out: &mut Vec<InfectMsg>,
     features: &mut LocationDayFeatures,
 ) {
+    let KernelParams { ptts, classes, .. } = *params;
     let ncls = classes.n();
+    let slots = sched.slots_of_group(g);
     let KernelScratch {
-        events,
-        sorted,
-        buckets,
+        occupants,
+        occupant_of_slot,
         cit,
         present,
-        sus_meta,
         snap_arena,
         cands,
         probs,
@@ -235,75 +233,66 @@ fn simulate_sublocation(
         lnq_key,
     } = scratch;
 
-    // Event list: key = t << 1 | is_arrive, so at equal times departs sort
-    // before arrives and zero-overlap pairs don't interact. Pushed in visit
-    // order, which is the tie-break the sorts below preserve.
-    events.clear();
-    let mut max_key = 0u32;
+    // Today's staying visits, read once; zero-length visits never meet
+    // anyone and are left out.
+    occupants.clear();
+    occupant_of_slot.clear();
     let mut total_inf_arrivals = 0u64;
-    for (i, v) in visits.iter().enumerate() {
-        if v.end_min <= v.start_min {
-            continue;
-        }
-        if classes.class(v.state).is_some() {
-            total_inf_arrivals += 1;
-        }
-        let arrive = ((v.start_min as u32) << 1) | 1;
-        let depart = (v.end_min as u32) << 1;
-        events.push((arrive, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        events.push((depart, i as u32)); // simlint: allow(R6) -- reused scratch: events reaches steady-state capacity after the first day; allocs/day gated by BENCH_hotpath
-        max_key = max_key.max(depart).max(arrive);
+    for slot in slots.clone() {
+        let (person, start_min, end_min) = sched.visit(slot);
+        let index = match visits.get(slot) {
+            Some((state, sus_scale)) if end_min > start_min => {
+                let v = Occupant {
+                    person,
+                    start_min,
+                    end_min,
+                    state,
+                    sus_scale,
+                    meta: SusMeta::NONE,
+                };
+                total_inf_arrivals += classes.is_infectious(v.state) as u64;
+                occupants.push(v); // simlint: allow(R6) -- reused scratch: tracks the group size, capacity reused across invocations
+                occupants.len() as u32 - 1
+            }
+            _ => u32::MAX,
+        };
+        occupant_of_slot.push(index); // simlint: allow(R6) -- reused scratch: tracks the group size, capacity reused across invocations
     }
-    // Order events by key with push-order tie-break. Counting sort is O(n +
-    // buckets) and branch-free, but zeroing the bucket array dominates for
-    // sparse sublocations — fall back to a comparison sort on the identical
-    // total order (key, then push index = visit index) when buckets would
-    // outnumber events 4:1.
-    let nbuckets = max_key as usize + 1;
-    let ordered: &[(u32, u32)] = if events.is_empty() {
-        events
-    } else if nbuckets <= 4 * events.len() {
-        buckets.clear();
-        buckets.resize(nbuckets, 0); // simlint: allow(R6) -- reused scratch: counting-sort buckets sized to the day's max key, capacity reused across invocations
-        for &(k, _) in events.iter() {
-            buckets[k as usize] += 1;
-        }
-        let mut acc = 0u32;
-        for b in buckets.iter_mut() {
-            let c = *b;
-            *b = acc;
-            acc += c;
-        }
-        sorted.clear();
-        sorted.resize(events.len(), (0, 0)); // simlint: allow(R6) -- reused scratch: sorted buffer tracks events.len(), capacity reused across invocations
-        for &(k, vi) in events.iter() {
-            let slot = &mut buckets[k as usize];
-            sorted[*slot as usize] = (k, vi);
-            *slot += 1;
-        }
-        sorted
-    } else {
-        // Arrive and depart keys of one visit differ, and within one key
-        // class visit indices are unique, so (key, vi) reproduces the
-        // stable counting order exactly.
-        events.sort_unstable_by_key(|&(k, vi)| ((k as u64) << 32) | vi as u64);
-        events
-    };
 
     // Sweep state.
     cit.clear();
     cit.resize(ncls, 0.0); // simlint: allow(R6) -- reused scratch: per-class intensity table, ncls is fixed for a run
     present.clear();
     present.resize(ncls, 0); // simlint: allow(R6) -- reused scratch: per-class presence counters, ncls is fixed for a run
-    sus_meta.clear();
-    sus_meta.resize(visits.len(), SusMeta::NONE); // simlint: allow(R6) -- reused scratch: per-visit metadata tracks visits.len(), capacity reused across invocations
     snap_arena.clear();
     let mut arrivals = 0u64; // cumulative infectious arrivals (all classes)
     let mut last_t = 0u16;
 
-    for &(key, vi) in ordered {
-        let t = (key >> 1) as u16;
-        let is_arrive = key & 1 == 1;
+    // Arrivals in slot order, departures in the static (end, slot) order;
+    // at equal times departures go first (zero-overlap pairs do not meet).
+    let mut next_arrival = 0usize;
+    let mut depart_stream = sched.departures_of_group(g).iter().filter_map(|&slot| {
+        let i = occupant_of_slot[slot as usize - slots.start];
+        (i != u32::MAX).then_some(i as usize)
+    });
+    let mut departure = depart_stream.next();
+    loop {
+        let (vi, is_arrive) = match departure {
+            Some(d)
+                if next_arrival == occupants.len()
+                    || occupants[d].end_min <= occupants[next_arrival].start_min =>
+            {
+                departure = depart_stream.next();
+                (d, false)
+            }
+            Some(_) => {
+                next_arrival += 1;
+                (next_arrival - 1, true)
+            }
+            None => break,
+        };
+        let v = occupants[vi];
+        let t = if is_arrive { v.start_min } else { v.end_min };
         // Advance integrals to t.
         let dt = (t - last_t) as f64;
         if dt > 0.0 {
@@ -312,7 +301,6 @@ fn simulate_sublocation(
             }
             last_t = t;
         }
-        let v = &visits[vi as usize];
         let v_class = classes.class(v.state);
         if is_arrive {
             // Skip the snapshot when no infectious is present and none will
@@ -322,7 +310,7 @@ fn simulate_sublocation(
                 && v.sus_scale > 0.0
                 && !(arrivals == total_inf_arrivals && present.iter().all(|&p| p == 0))
             {
-                sus_meta[vi as usize] = SusMeta {
+                occupants[vi].meta = SusMeta {
                     snap_off: snap_arena.len() as u32,
                     present_at_arrive: present.iter().sum(),
                     arrivals_at_arrive: arrivals,
@@ -337,21 +325,15 @@ fn simulate_sublocation(
             if let Some(c) = v_class {
                 present[c] -= 1;
             }
-            let meta = std::mem::replace(&mut sus_meta[vi as usize], SusMeta::NONE);
-            if meta.snap_off != u32::MAX {
-                let off = meta.snap_off as usize;
+            if v.meta.snap_off != u32::MAX {
+                let off = v.meta.snap_off as usize;
                 resolve_susceptible(
-                    v,
-                    &meta,
+                    &v,
                     &snap_arena[off..off + ncls],
                     cit,
                     arrivals,
-                    visits,
-                    ptts,
-                    classes,
-                    r_eff,
-                    seed,
-                    day,
+                    occupants,
+                    params,
                     cands,
                     probs,
                     lnq,
@@ -370,17 +352,12 @@ fn simulate_sublocation(
 #[allow(clippy::too_many_arguments)]
 #[simlint_macros::hot_path]
 fn resolve_susceptible(
-    v: &VisitMsg,
-    meta: &SusMeta,
+    v: &Occupant,
     cit_at_arrive: &[f64],
     cit: &[f64],
     arrivals_now: u64,
-    visits: &[VisitMsg],
-    ptts: &Ptts,
-    classes: &InfectivityClasses,
-    r_eff: f64,
-    seed: u64,
-    day: u32,
+    occupants: &[Occupant],
+    params: &KernelParams<'_>,
     cands: &mut Vec<(u32, f64)>,
     probs: &mut Vec<f64>,
     lnq: &mut Vec<f64>,
@@ -388,11 +365,19 @@ fn resolve_susceptible(
     out: &mut Vec<InfectMsg>,
     features: &mut LocationDayFeatures,
 ) {
+    let KernelParams {
+        ptts,
+        classes,
+        r_eff,
+        seed,
+        day,
+    } = *params;
     let s_i = ptts.susceptibility(v.state) * v.sus_scale as f64;
     // Interaction count: infectious present at arrival + infectious
     // arrivals during the stay (exact count of overlapping intervals,
     // minus self if this visit is also infectious).
-    let mut encounters = meta.present_at_arrive as u64 + (arrivals_now - meta.arrivals_at_arrive);
+    let mut encounters =
+        v.meta.present_at_arrive as u64 + (arrivals_now - v.meta.arrivals_at_arrive);
     let self_class = classes.class(v.state);
     if self_class.is_some() {
         encounters = encounters.saturating_sub(1);
@@ -453,10 +438,11 @@ fn resolve_susceptible(
     if !rng.bernoulli(p) {
         return;
     }
-    // Attribute an infector: pairwise pass over overlapping infectious
-    // visits in this sublocation (visits slice is the sublocation group).
+    // Attribute an infector: pairwise pass over today's overlapping
+    // infectious visits in this group, in canonical order (zero-length
+    // visits overlap nothing, so the staying occupants suffice).
     cands.clear();
-    for (j, w) in visits.iter().enumerate() {
+    for w in occupants {
         if w.person == v.person && w.start_min == v.start_min {
             continue;
         }
@@ -468,7 +454,7 @@ fn resolve_susceptible(
         if overlap > 0.0 {
             let q = (r_eff * s_i * classes.iota[c]).clamp(0.0, 1.0 - 1e-12);
             let p_j = 1.0 - (overlap * (-q).ln_1p()).exp();
-            cands.push((j as u32, p_j)); // simlint: allow(R6) -- reused scratch: candidate list reaches the worst overlap count once, then recycles
+            cands.push((w.person, p_j)); // simlint: allow(R6) -- reused scratch: candidate list reaches the worst overlap count once, then recycles
         }
     }
     let infector = if cands.is_empty() {
@@ -477,7 +463,7 @@ fn resolve_susceptible(
         probs.clear();
         probs.extend(cands.iter().map(|&(_, p)| p)); // simlint: allow(R6) -- reused scratch: probability buffer mirrors cands, capacity reused
         match select_infector(probs, rng.uniform_f64()) {
-            Some(i) => visits[cands[i].0 as usize].person,
+            Some(i) => cands[i].0,
             None => u32::MAX,
         }
     };
@@ -492,28 +478,95 @@ fn resolve_susceptible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::VisitMsg;
     use ptts::flu_model;
     use ptts::model::StateId;
+    use synthpop::{
+        Location, LocationId, LocationKind, PersonId, Population, SublocationId, Visit,
+    };
 
-    fn visit(person: u32, state: StateId, start: u16, end: u16, subloc: u16) -> VisitMsg {
-        VisitMsg {
+    /// One visit of a one-location test day, with today's state.
+    #[derive(Debug, Clone, Copy)]
+    struct V {
+        person: u32,
+        state: StateId,
+        start: u16,
+        end: u16,
+        subloc: u16,
+        sus_scale: f32,
+    }
+
+    fn visit(person: u32, state: StateId, start: u16, end: u16, subloc: u16) -> V {
+        V {
             person,
-            location: 0,
-            sublocation: subloc,
-            start_min: start,
-            end_min: end,
             state,
+            start,
+            end,
+            subloc,
             sus_scale: 1.0,
         }
     }
 
-    fn run(visits: &mut [VisitMsg], r: f64) -> (Vec<InfectMsg>, LocationDayFeatures) {
+    /// Sweep location 0 of a schedule laid out over `visits` alone. Only
+    /// the visit list matters to the schedule, so the population carries
+    /// no person records; visits are made person-major, as generated
+    /// populations are.
+    fn run_with(
+        visits: &[V],
+        r: f64,
+        seed: u64,
+        day: u32,
+    ) -> (Vec<InfectMsg>, LocationDayFeatures) {
+        let mut sorted = visits.to_vec();
+        sorted.sort_by_key(|v| v.person);
+        let pop = Population {
+            code: "K".into(),
+            seed: 0,
+            people: Vec::new(),
+            locations: vec![Location {
+                kind: LocationKind::Work,
+                n_sublocations: 4,
+                weight: 1.0,
+            }],
+            visits: sorted
+                .iter()
+                .map(|v| Visit {
+                    person: PersonId(v.person),
+                    location: LocationId(0),
+                    sublocation: SublocationId(v.subloc),
+                    start_min: v.start,
+                    duration_min: v.end - v.start,
+                })
+                .collect(),
+            person_offsets: vec![0],
+        };
         let ptts = flu_model();
         let classes = InfectivityClasses::new(&ptts);
+        let schedule = VisitSchedule::unpartitioned(&pop);
+        let mut day_visits = DayVisits::for_parts(&schedule, 0..1);
+        for (i, v) in sorted.iter().enumerate() {
+            let msg = VisitMsg {
+                slot: schedule.slot_of_visit(i),
+                state: v.state,
+                sus_scale: v.sus_scale,
+            };
+            day_visits.record(&classes, &msg);
+        }
+        let params = KernelParams {
+            ptts: &ptts,
+            classes: &classes,
+            r_eff: r,
+            seed,
+            day,
+        };
         let mut out = Vec::new();
         let mut scratch = KernelScratch::new();
-        let f = simulate_location_day(visits, &ptts, &classes, r, 42, 0, &mut scratch, &mut out);
+        let f = simulate_location(&schedule, &day_visits, 0, &params, &mut scratch, &mut out);
         (out, f)
+    }
+
+    fn run(visits: &[V], r: f64) -> (Vec<InfectMsg>, LocationDayFeatures) {
+        run_with(visits, r, 42, 0)
     }
 
     fn sus(ptts: &Ptts) -> StateId {
@@ -533,7 +586,7 @@ mod tests {
 
     #[test]
     fn empty_location_no_events() {
-        let (out, f) = run(&mut Vec::new(), 0.01);
+        let (out, f) = run(&[], 0.01);
         assert!(out.is_empty());
         assert_eq!(f.events, 0);
     }
@@ -541,8 +594,8 @@ mod tests {
     #[test]
     fn no_transmission_without_infectious() {
         let p = flu_model();
-        let mut vs = vec![visit(1, sus(&p), 0, 100, 0), visit(2, sus(&p), 50, 150, 0)];
-        let (out, f) = run(&mut vs, 1.0);
+        let vs = vec![visit(1, sus(&p), 0, 100, 0), visit(2, sus(&p), 50, 150, 0)];
+        let (out, f) = run(&vs, 1.0);
         assert!(out.is_empty());
         assert_eq!(f.events, 4);
         assert_eq!(f.interactions, 0);
@@ -551,8 +604,8 @@ mod tests {
     #[test]
     fn certain_transmission_with_r_one() {
         let p = flu_model();
-        let mut vs = vec![visit(1, sus(&p), 0, 600, 0), visit(2, sym(&p), 0, 600, 0)];
-        let (out, f) = run(&mut vs, 1.0);
+        let vs = vec![visit(1, sus(&p), 0, 600, 0), visit(2, sym(&p), 0, 600, 0)];
+        let (out, f) = run(&vs, 1.0);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].person, 1);
         assert_eq!(out[0].infector, 2);
@@ -562,11 +615,11 @@ mod tests {
     #[test]
     fn no_interaction_across_sublocations() {
         let p = flu_model();
-        let mut vs = vec![
+        let vs = vec![
             visit(1, sus(&p), 0, 600, 0),
             visit(2, sym(&p), 0, 600, 1), // different room
         ];
-        let (out, f) = run(&mut vs, 1.0);
+        let (out, f) = run(&vs, 1.0);
         assert!(out.is_empty());
         assert_eq!(f.interactions, 0);
     }
@@ -574,11 +627,11 @@ mod tests {
     #[test]
     fn no_interaction_without_time_overlap() {
         let p = flu_model();
-        let mut vs = vec![
+        let vs = vec![
             visit(1, sus(&p), 0, 100, 0),
             visit(2, sym(&p), 100, 400, 0), // back-to-back, zero overlap
         ];
-        let (out, f) = run(&mut vs, 1.0);
+        let (out, f) = run(&vs, 1.0);
         assert!(out.is_empty());
         assert_eq!(f.interactions, 0);
     }
@@ -588,13 +641,13 @@ mod tests {
         let p = flu_model();
         // Two infectious overlap one susceptible; one infectious arrives
         // during the stay, one is present beforehand.
-        let mut vs = vec![
+        let vs = vec![
             visit(1, sus(&p), 100, 300, 0),
             visit(2, sym(&p), 0, 200, 0),   // present at arrival
             visit(3, sym(&p), 150, 400, 0), // arrives during stay
             visit(4, sym(&p), 350, 500, 0), // after departure — no overlap
         ];
-        let (_, f) = run(&mut vs, 0.0001);
+        let (_, f) = run(&vs, 0.0001);
         assert_eq!(f.interactions, 2);
         assert!((f.sum_reciprocal_interactions - 0.5).abs() < 1e-12);
     }
@@ -604,20 +657,16 @@ mod tests {
         // Single pair, moderate r: empirical infection rate over many
         // persons ≈ 1 − (1−r·s·ι)^τ.
         let p = flu_model();
-        let classes = InfectivityClasses::new(&p);
         let r = 0.002;
         let tau = 120u16;
         let n = 4000u32;
         let mut infected = 0;
         for person in 0..n {
-            let mut vs = vec![
+            let vs = vec![
                 visit(person, sus(&p), 0, tau, 0),
                 visit(1_000_000, sym(&p), 0, tau, 0),
             ];
-            let mut out = Vec::new();
-            let mut scratch = KernelScratch::new();
-            simulate_location_day(&mut vs, &p, &classes, r, 7, 3, &mut scratch, &mut out);
-            infected += out.len();
+            infected += run_with(&vs, r, 7, 3).0.len();
         }
         let expected = 1.0 - (1.0f64 - r).powf(tau as f64);
         let got = infected as f64 / n as f64;
@@ -630,15 +679,15 @@ mod tests {
     #[test]
     fn exposure_independent_of_visit_order() {
         let p = flu_model();
-        let mut a = vec![
+        let a = vec![
             visit(1, sus(&p), 0, 300, 0),
             visit(2, sym(&p), 100, 200, 0),
             visit(3, sym(&p), 50, 250, 0),
         ];
         let mut b = a.clone();
         b.reverse();
-        let (out_a, fa) = run(&mut a, 0.01);
-        let (out_b, fb) = run(&mut b, 0.01);
+        let (out_a, fa) = run(&a, 0.01);
+        let (out_b, fb) = run(&b, 0.01);
         assert_eq!(out_a, out_b);
         assert_eq!(fa, fb);
     }
@@ -646,21 +695,17 @@ mod tests {
     #[test]
     fn vaccinated_scale_reduces_probability() {
         let p = flu_model();
-        let classes = InfectivityClasses::new(&p);
         let count = |scale: f32| {
             let mut infected = 0;
             for person in 0..3000u32 {
-                let mut vs = vec![
-                    VisitMsg {
+                let vs = vec![
+                    V {
                         sus_scale: scale,
                         ..visit(person, sus(&p), 0, 200, 0)
                     },
                     visit(9_999_999, sym(&p), 0, 200, 0),
                 ];
-                let mut out = Vec::new();
-                let mut scratch = KernelScratch::new();
-                simulate_location_day(&mut vs, &p, &classes, 0.003, 11, 1, &mut scratch, &mut out);
-                infected += out.len();
+                infected += run_with(&vs, 0.003, 11, 1).0.len();
             }
             infected
         };
@@ -676,7 +721,6 @@ mod tests {
     #[test]
     fn multiple_infectious_raise_risk() {
         let p = flu_model();
-        let classes = InfectivityClasses::new(&p);
         let count = |n_inf: u32| {
             let mut infected = 0;
             for person in 0..3000u32 {
@@ -684,10 +728,7 @@ mod tests {
                 for j in 0..n_inf {
                     vs.push(visit(1_000_000 + j, sym(&p), 0, 100, 0));
                 }
-                let mut out = Vec::new();
-                let mut scratch = KernelScratch::new();
-                simulate_location_day(&mut vs, &p, &classes, 0.002, 13, 2, &mut scratch, &mut out);
-                infected += out.len();
+                infected += run_with(&vs, 0.002, 13, 2).0.len();
             }
             infected
         };
@@ -699,23 +740,19 @@ mod tests {
     #[test]
     fn infector_attribution_prefers_longer_overlap() {
         let p = flu_model();
-        let classes = InfectivityClasses::new(&p);
         let mut by_infector = std::collections::BTreeMap::new();
         for person in 0..4000u32 {
-            let mut vs = vec![
+            let vs = vec![
                 visit(person, sus(&p), 0, 400, 0),
-                visit(77, sym(&p), 0, 400, 0),   // full overlap
-                visit(88, sym(&p), 380, 400, 0), // 20 minutes
+                visit(1_000_077, sym(&p), 0, 400, 0), // full overlap
+                visit(1_000_088, sym(&p), 380, 400, 0), // 20 minutes
             ];
-            let mut out = Vec::new();
-            let mut scratch = KernelScratch::new();
-            simulate_location_day(&mut vs, &p, &classes, 0.01, 17, 5, &mut scratch, &mut out);
-            for i in out {
+            for i in run_with(&vs, 0.01, 17, 5).0 {
                 *by_infector.entry(i.infector).or_insert(0u32) += 1;
             }
         }
-        let c77 = by_infector.get(&77).copied().unwrap_or(0);
-        let c88 = by_infector.get(&88).copied().unwrap_or(0);
+        let c77 = by_infector.get(&1_000_077).copied().unwrap_or(0);
+        let c88 = by_infector.get(&1_000_088).copied().unwrap_or(0);
         assert!(c77 > 10 * c88.max(1), "77:{c77} 88:{c88}");
     }
 
@@ -730,8 +767,8 @@ mod tests {
                 visit(4, sym(&p), 120, 260, 0),
             ]
         };
-        let (a, _) = run(&mut mk(), 0.004);
-        let (b, _) = run(&mut mk(), 0.004);
+        let (a, _) = run(&mk(), 0.004);
+        let (b, _) = run(&mk(), 0.004);
         assert_eq!(a, b);
     }
 }

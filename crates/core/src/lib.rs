@@ -23,6 +23,8 @@
 //!
 //! Modules:
 //! * [`messages`] — the visit/infect message types and phase controls.
+//! * [`schedule`] — the static visit schedule: canonical slot order,
+//!   per-sublocation departure order, and the per-day receiving side.
 //! * [`kernel`] — the location DES: class-binned exposure integrals, the
 //!   Barrett transmission function, infector attribution.
 //! * [`person`] — person-side scheduling (health + interventions).
@@ -59,6 +61,7 @@ pub mod output;
 pub mod person;
 pub mod rebalance;
 pub mod resilient;
+pub mod schedule;
 pub mod seq;
 pub mod simulator;
 pub mod splitloc;

@@ -7,11 +7,10 @@
 //! handle the computation and communication of all location or person
 //! objects assigned to them."
 
-use crate::kernel::{
-    simulate_location_day, InfectivityClasses, KernelScratch, LocationDayFeatures,
-};
+use crate::kernel::{InfectivityClasses, KernelParams, KernelScratch, LocationDayFeatures};
 use crate::messages::{slots, InfectMsg, SharedRef, SimMsg, VisitMsg, BATCH_CHUNK};
 use crate::person::{person_day, PersonSlot};
+use crate::schedule::DayVisits;
 use chare_rt::{Chare, ChareId, Ctx};
 use ptts::model::StateId;
 
@@ -72,8 +71,6 @@ pub struct PersonManager {
     shared: SharedRef,
     persons: Vec<PersonSlot>,
     symptomatic_state: Option<StateId>,
-    /// Scratch buffer reused across days.
-    visit_buf: Vec<VisitMsg>,
     /// Outgoing visit batches, indexed `lm - k`.
     outbox: Outbox<VisitMsg>,
 }
@@ -98,7 +95,6 @@ impl PersonManager {
             shared,
             persons,
             symptomatic_state,
-            visit_buf: Vec::new(),
             outbox,
         }
     }
@@ -126,34 +122,34 @@ impl PersonManager {
         ctx: &mut Ctx<'_, SimMsg>,
     ) {
         let shared = self.shared.clone();
-        let k = shared.layout.k;
+        let layout = &shared.layout;
+        let k = layout.k;
         let mut symptomatic = 0u64;
         let mut infected_now = 0u64;
         let mut susceptible = 0u64;
         let mut visits_sent = 0u64;
         for slot in &mut self.persons {
-            self.visit_buf.clear();
             let sym = person_day(
                 slot,
                 &shared.pop,
+                &layout.schedule,
                 &shared.ptts,
                 effects,
                 self.symptomatic_state,
-                Some(&shared.layout.orig_of_location),
+                Some(&layout.orig_of_location),
                 shared.seed,
                 day,
-                &mut self.visit_buf,
+                |location, msg| {
+                    visits_sent += 1;
+                    let lm = layout.lm_of_location[location as usize];
+                    if let Some(full) = self.outbox.push((lm - k) as usize, msg) {
+                        ctx.send(ChareId(lm), SimMsg::Visits(full));
+                    }
+                },
             );
             symptomatic += sym as u64;
             infected_now += slot.is_infected() as u64;
             susceptible += shared.ptts.is_susceptible(slot.health.state) as u64;
-            visits_sent += self.visit_buf.len() as u64;
-            for msg in self.visit_buf.drain(..) {
-                let lm = shared.layout.lm_of_location[msg.location as usize];
-                if let Some(full) = self.outbox.push((lm - k) as usize, msg) {
-                    ctx.send(ChareId(lm), SimMsg::Visits(full));
-                }
-            }
         }
         self.outbox
             .flush(|d, batch| ctx.send(ChareId(k + d as u32), SimMsg::Visits(batch)));
@@ -192,7 +188,7 @@ impl Chare<SimMsg> for PersonManager {
     fn snapshot(&self) -> Option<Vec<u8>> {
         // Person state is the only chare state that cannot be rebuilt from
         // deterministic construction; LocationManagers keep the default
-        // `None` (visit buffers are empty at day boundaries and feature
+        // `None` (no received visit is live at a day boundary and feature
         // totals are analysis-only).
         Some(crate::checkpoint::encode_person_shard(&self.persons).to_vec())
     }
@@ -202,20 +198,21 @@ impl Chare<SimMsg> for PersonManager {
     }
 }
 
-/// A LocationManager: owns a set of locations, scatters each received
-/// [`SimMsg::Visits`] batch into per-location buffers (as the sequential
-/// oracle does), and runs the DES in phase 3, sending the day's infects as
-/// one [`SimMsg::Infects`] batch per destination PersonManager.
+/// A LocationManager: owns the locations of one partition. It records each
+/// received [`SimMsg::Visits`] batch into its slot range of the world's
+/// static visit schedule ([`DayVisits`]; the sequential oracle does the
+/// same), and in phase 3 runs the DES over the sublocations an infectious
+/// person visited, sending the day's infects as one [`SimMsg::Infects`]
+/// batch per destination PersonManager.
+///
+/// Nothing is sorted or buffered per location: the schedule fixes every
+/// visit's place in its sublocation's event order before day 0.
 pub struct LocationManager {
     shared: SharedRef,
-    /// Global location ids owned, ordered by local slot.
-    locations: Vec<u32>,
-    /// Per-location visit buffer for the current day. Kept flat (the kernel
-    /// sorts by a packed sublocation/start/person key): grouping visits by
-    /// sublocation at insert time was measured slower end-to-end, because
-    /// it adds a binary search per received visit on the message-receive
-    /// path (EXPERIMENTS.md, "Performance methodology", a negative result).
-    buffers: Vec<Vec<VisitMsg>>,
+    /// This LM's partition.
+    part: u32,
+    /// Today's received visits.
+    visits: DayVisits,
     classes: InfectivityClasses,
     /// DES working memory reused across locations and days.
     scratch: KernelScratch,
@@ -231,16 +228,19 @@ pub struct LocationManager {
 }
 
 impl LocationManager {
-    /// Build an LM owning `location_ids` (local slot order must match
-    /// `Shared::local_of_location`).
-    pub fn new(shared: SharedRef, location_ids: Vec<u32>) -> Self {
-        let n = location_ids.len();
+    /// Build the LM of partition `part`; it owns
+    /// `shared.layout.schedule.locations_of(part..part + 1)`, in that local
+    /// order.
+    pub fn new(shared: SharedRef, part: u32) -> Self {
+        let schedule = &shared.layout.schedule;
+        let n = schedule.locations_of(part..part + 1).len();
+        let visits = DayVisits::for_parts(schedule, part..part + 1);
         let classes = InfectivityClasses::new(&shared.ptts);
         let outbox = Outbox::new(shared.layout.k as usize);
         LocationManager {
             shared,
-            locations: location_ids,
-            buffers: vec![Vec::new(); n],
+            part,
+            visits,
             classes,
             scratch: KernelScratch::new(),
             last_features: vec![LocationDayFeatures::default(); n],
@@ -250,47 +250,56 @@ impl LocationManager {
         }
     }
 
-    /// The owned location ids.
+    /// The owned location ids, in local order.
     pub fn locations(&self) -> &[u32] {
-        &self.locations
+        self.shared
+            .layout
+            .schedule
+            .locations_of(self.part..self.part + 1)
     }
 
     fn compute_day(&mut self, day: u32, r_eff: f64, ctx: &mut Ctx<'_, SimMsg>) {
         let shared = self.shared.clone();
+        let params = KernelParams {
+            ptts: &shared.ptts,
+            classes: &self.classes,
+            r_eff,
+            seed: shared.seed,
+            day,
+        };
         let mut events = 0u64;
         let mut interactions = 0u64;
         let mut infects_sent = 0u64;
         let mut by_kind = [0u64; 5];
-        for li in 0..self.locations.len() {
-            self.infect_buf.clear();
-            let features = simulate_location_day(
-                &mut self.buffers[li],
-                &shared.ptts,
-                &self.classes,
-                r_eff,
-                shared.seed,
-                day,
-                &mut self.scratch,
-                &mut self.infect_buf,
-            );
-            self.buffers[li].clear();
-            events += features.events;
-            interactions += features.interactions;
-            infects_sent += self.infect_buf.len() as u64;
-            let kind = shared.pop.locations[self.locations[li] as usize].kind as usize;
-            by_kind[kind] += self.infect_buf.len() as u64;
-            self.last_features[li] = features;
-            let tot = &mut self.feature_totals[li];
-            tot.events += features.events;
-            tot.interactions += features.interactions;
-            tot.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
-            for infect in self.infect_buf.drain(..) {
-                let pm = shared.layout.pm_of_person[infect.person as usize];
-                if let Some(full) = self.outbox.push(pm as usize, infect) {
-                    ctx.send(ChareId(pm), SimMsg::Infects(full));
+        let (last_features, feature_totals, outbox) = (
+            &mut self.last_features,
+            &mut self.feature_totals,
+            &mut self.outbox,
+        );
+        self.visits.compute(
+            &shared.layout.schedule,
+            &params,
+            &mut self.scratch,
+            &mut self.infect_buf,
+            |li, location, features, infects| {
+                events += features.events;
+                interactions += features.interactions;
+                infects_sent += infects.len() as u64;
+                let kind = shared.pop.locations[location as usize].kind as usize;
+                by_kind[kind] += infects.len() as u64;
+                last_features[li] = features;
+                let tot = &mut feature_totals[li];
+                tot.events += features.events;
+                tot.interactions += features.interactions;
+                tot.sum_reciprocal_interactions += features.sum_reciprocal_interactions;
+                for &infect in infects {
+                    let pm = shared.layout.pm_of_person[infect.person as usize];
+                    if let Some(full) = outbox.push(pm as usize, infect) {
+                        ctx.send(ChareId(pm), SimMsg::Infects(full));
+                    }
                 }
-            }
-        }
+            },
+        );
         self.outbox
             .flush(|pm, batch| ctx.send(ChareId(pm as u32), SimMsg::Infects(batch)));
         ctx.contribute(slots::EVENTS, events);
@@ -308,9 +317,8 @@ impl Chare<SimMsg> for LocationManager {
     fn receive(&mut self, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
         match msg {
             SimMsg::Visits(batch) => {
-                let local_of_location = &self.shared.layout.local_of_location;
-                for v in batch {
-                    self.buffers[local_of_location[v.location as usize] as usize].push(v);
+                for v in &batch {
+                    self.visits.record(&self.classes, v);
                 }
             }
             SimMsg::ComputeDay { day, r_eff } => self.compute_day(day, r_eff, ctx),

@@ -1,5 +1,6 @@
 //! Simulator messages and shared immutable state.
 
+use crate::schedule::VisitSchedule;
 use bytes::{Buf, BufMut, BytesMut};
 use chare_rt::Message;
 use ptts::intervention::VaccinationOrder;
@@ -12,18 +13,15 @@ use synthpop::Population;
 /// message to the object representing the visited location with the ID of
 /// the person, the start time and the end time of the visit, as well as the
 /// person's health state" (§II-B step 1).
+///
+/// Person, location, sublocation and times are static input, so the
+/// message names the visit by its slot in the world's
+/// [`crate::schedule::VisitSchedule`], which holds them, and carries only
+/// what changes day to day.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisitMsg {
-    /// Visiting person.
-    pub person: u32,
-    /// Destination location (global id).
-    pub location: u32,
-    /// Room within the location.
-    pub sublocation: u16,
-    /// Start minute.
-    pub start_min: u16,
-    /// End minute (exclusive).
-    pub end_min: u16,
+    /// The visit's slot in the schedule.
+    pub slot: u32,
     /// The person's health state today.
     pub state: StateId,
     /// Personal susceptibility multiplier (vaccine efficacy etc.).
@@ -114,15 +112,21 @@ pub enum SimMsg {
 /// Records per [`SimMsg::Visits`] / [`SimMsg::Infects`] batch. A manager
 /// sends a batch once it holds this many records, and every non-empty
 /// batch at the end of its phase. A full visit batch encodes to
-/// 5 + 20·4096 bytes (about 82 KB), so its net-engine BATCH frame fits in
+/// 5 + 10·4096 bytes (about 41 KB), so its net-engine BATCH frame fits in
 /// one frame of the default 256 KiB shared-memory ring (`max_frame` is half
 /// the ring) and full batches never fall back to the comm thread.
 pub const BATCH_CHUNK: usize = 4096;
 
-/// Encoded size of one visit record.
-const VISIT_BYTES: usize = 20;
-/// Encoded size of one infect record.
-const INFECT_BYTES: usize = 10;
+/// Encoded size of a batch header: the tag byte and the `u32` count.
+pub const BATCH_HEADER_BYTES: usize = 5;
+/// Encoded size of one visit record: slot `u32`, state `u16`,
+/// `sus_scale` `f32`.
+pub const VISIT_BYTES: usize = 10;
+/// Encoded size of one infect record: person `u32`, minute `u16`,
+/// infector `u32`.
+pub const INFECT_BYTES: usize = 10;
+/// Encoded size of one vaccination order in [`SimMsg::BeginDay`].
+const VACCINATION_BYTES: usize = 18;
 
 /// Wire tags for [`SimMsg`] variants (the first byte of the encoding;
 /// DESIGN.md §8 pins them).
@@ -136,16 +140,13 @@ mod tag {
 
 impl Message for SimMsg {
     fn size_bytes(&self) -> usize {
-        // Wire-size estimates for the bandwidth model: the hot-path
-        // batches are what matter (tag + count, then the records).
+        // Exactly the `wire_encode` length (the codec tests pin it).
         match self {
-            SimMsg::Visits(v) => 5 + 20 * v.len(),
-            SimMsg::Infects(i) => 5 + 12 * i.len(),
-            SimMsg::BeginDay { effects, .. } => {
-                16 + effects.vaccinations.len() * std::mem::size_of::<VaccinationOrder>()
-            }
-            SimMsg::ComputeDay { .. } => 16,
-            SimMsg::ApplyDay { .. } => 8,
+            SimMsg::Visits(v) => BATCH_HEADER_BYTES + VISIT_BYTES * v.len(),
+            SimMsg::Infects(i) => BATCH_HEADER_BYTES + INFECT_BYTES * i.len(),
+            SimMsg::BeginDay { effects, .. } => 18 + VACCINATION_BYTES * effects.vaccinations.len(),
+            SimMsg::ComputeDay { .. } => 13,
+            SimMsg::ApplyDay { .. } => 5,
         }
     }
 
@@ -167,11 +168,7 @@ impl Message for SimMsg {
                 out.put_u8(tag::VISITS);
                 out.put_u32_le(batch.len() as u32);
                 for v in batch {
-                    out.put_u32_le(v.person);
-                    out.put_u32_le(v.location);
-                    out.put_u16_le(v.sublocation);
-                    out.put_u16_le(v.start_min);
-                    out.put_u16_le(v.end_min);
+                    out.put_u32_le(v.slot);
                     out.put_u16_le(v.state.0);
                     out.put_f32_le(v.sus_scale);
                 }
@@ -210,7 +207,7 @@ impl Message for SimMsg {
                 let closed_kinds = buf.get_u8();
                 let r_scale = buf.get_f64_le();
                 let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n.checked_mul(18)? {
+                if buf.remaining() < n.checked_mul(VACCINATION_BYTES)? {
                     return None;
                 }
                 let mut vaccinations = Vec::with_capacity(n);
@@ -234,11 +231,7 @@ impl Message for SimMsg {
                 let n = batch_len(buf, VISIT_BYTES)?;
                 let batch = (0..n)
                     .map(|_| VisitMsg {
-                        person: buf.get_u32_le(),
-                        location: buf.get_u32_le(),
-                        sublocation: buf.get_u16_le(),
-                        start_min: buf.get_u16_le(),
-                        end_min: buf.get_u16_le(),
+                        slot: buf.get_u32_le(),
                         state: StateId(buf.get_u16_le()),
                         sus_scale: buf.get_f32_le(),
                     })
@@ -328,15 +321,15 @@ pub struct WorldLayout {
     pub local_of_person: Vec<u32>,
     /// location → LocationManager chare id.
     pub lm_of_location: Vec<u32>,
-    /// location → local slot within its LM.
-    pub local_of_location: Vec<u32>,
     /// location → original location id (identity unless splitLoc ran);
     /// the stay-home filter uses it to recognise split home pieces.
     pub orig_of_location: Vec<u32>,
     /// Person ids owned by each partition, in local-slot order.
     pub persons_per_part: Vec<Vec<u32>>,
-    /// Location ids owned by each partition, in local-slot order.
-    pub locations_per_part: Vec<Vec<u32>>,
+    /// Every visit in canonical DES order. Locations are ranked partition
+    /// by partition, ascending within a partition; an LM's local location
+    /// order is its rank order.
+    pub schedule: VisitSchedule,
 }
 
 impl WorldLayout {
@@ -344,11 +337,8 @@ impl WorldLayout {
     pub fn build(dist: &crate::distribution::DataDistribution) -> WorldLayout {
         let k = dist.k;
         let n_people = dist.pop.n_people() as usize;
-        let n_locations = dist.pop.n_locations() as usize;
         let mut pm_of_person = vec![0u32; n_people];
         let mut local_of_person = vec![0u32; n_people];
-        let mut lm_of_location = vec![0u32; n_locations];
-        let mut local_of_location = vec![0u32; n_locations];
         let mut persons_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
         let mut locations_per_part: Vec<Vec<u32>> = vec![Vec::new(); k as usize];
         for p in 0..n_people {
@@ -357,21 +347,19 @@ impl WorldLayout {
             local_of_person[p] = persons_per_part[part as usize].len() as u32;
             persons_per_part[part as usize].push(p as u32);
         }
-        for l in 0..n_locations {
-            let part = dist.location_part[l];
-            lm_of_location[l] = k + part;
-            local_of_location[l] = locations_per_part[part as usize].len() as u32;
+        for (l, &part) in dist.location_part.iter().enumerate() {
             locations_per_part[part as usize].push(l as u32);
         }
+        let lm_of_location = dist.location_part.iter().map(|&part| k + part).collect();
+        let schedule = VisitSchedule::build(&dist.pop, &locations_per_part);
         WorldLayout {
             k,
             pm_of_person,
             local_of_person,
             lm_of_location,
-            local_of_location,
             orig_of_location: dist.orig_of_location.clone(),
             persons_per_part,
-            locations_per_part,
+            schedule,
         }
     }
 }
@@ -435,11 +423,7 @@ mod tests {
 
     fn visit(i: u32) -> VisitMsg {
         VisitMsg {
-            person: 12_345 + i,
-            location: 67_890 ^ i,
-            sublocation: (i % 13) as u16,
-            start_min: (i % 1440) as u16,
-            end_min: (i % 1440) as u16 + 1,
+            slot: 12_345 + i,
             state: StateId((i % 5) as u16),
             sus_scale: 0.625,
         }
@@ -497,7 +481,7 @@ mod tests {
         match roundtrip(&visits(2)) {
             SimMsg::Visits(v) => {
                 assert_eq!(v, vec![visit(0), visit(1)]);
-                assert_eq!(v[1].person, 12_346);
+                assert_eq!(v[1].slot, 12_346);
                 assert_eq!(v[1].sus_scale, 0.625);
             }
             other => panic!("wrong variant: {other:?}"),
@@ -632,12 +616,36 @@ mod tests {
     }
 
     #[test]
-    fn message_sizes_reflect_payload() {
-        assert_eq!(visits(0).size_bytes(), 5);
-        assert_eq!(visits(1).size_bytes(), 25);
-        assert_eq!(visits(BATCH_CHUNK).size_bytes(), 5 + 20 * BATCH_CHUNK);
-        assert_eq!(infects(1).size_bytes(), 17);
-        assert_eq!(infects(3).size_bytes(), 5 + 12 * 3);
-        assert!(visits(3).size_bytes() > infects(3).size_bytes());
+    fn size_bytes_is_the_encoded_length() {
+        let order = VaccinationOrder {
+            fraction: 0.5,
+            treatment: TreatmentId(1),
+            efficacy_factor: 0.25,
+        };
+        let mut msgs = vec![
+            SimMsg::ComputeDay {
+                day: 9,
+                r_eff: 0.002,
+            },
+            SimMsg::ApplyDay { day: 9 },
+        ];
+        for n in [0, 1, 3] {
+            msgs.push(SimMsg::BeginDay {
+                day: 2,
+                effects: DayEffects {
+                    closed_kinds: 1,
+                    r_scale: 0.5,
+                    vaccinations: vec![order; n],
+                },
+            });
+        }
+        for n in [0, 1, 7, BATCH_CHUNK] {
+            msgs.push(visits(n));
+            msgs.push(infects(n));
+        }
+        for msg in &msgs {
+            assert_eq!(msg.size_bytes(), encode(msg).len(), "{msg:?}");
+        }
+        assert_eq!(visits(1).size_bytes(), BATCH_HEADER_BYTES + VISIT_BYTES);
     }
 }

@@ -5,10 +5,11 @@
 //! chare and the sequential oracle share one implementation.
 
 use crate::messages::{DayEffects, InfectMsg, VisitMsg};
+use crate::schedule::VisitSchedule;
 use ptts::crng::{CounterRng, Purpose};
 use ptts::model::{HealthTracker, StateId};
 use ptts::Ptts;
-use synthpop::{LocationKind, PersonId, Population, Visit};
+use synthpop::{LocationKind, PersonId, Population};
 
 /// Probability a symptomatic person abandons their non-home schedule for
 /// the day (self-isolation behaviour; part of the "decides on the locations
@@ -86,8 +87,11 @@ impl PersonSlot {
 }
 
 /// Phase 1 for one person: advance health, apply interventions, and emit
-/// today's visit messages into `out`. Returns the symptomatic flag used for
-/// reporting.
+/// today's visit messages through `emit(location, msg)`. Returns the
+/// symptomatic flag used for reporting.
+///
+/// Each message names its visit's slot in `schedule`, which must be laid
+/// out over `pop`.
 ///
 /// `orig_of_location` maps (possibly splitLoc-rewritten) location ids back
 /// to original ids so the stay-home filter recognises every piece of a
@@ -98,13 +102,14 @@ impl PersonSlot {
 pub fn person_day(
     slot: &mut PersonSlot,
     pop: &Population,
+    schedule: &VisitSchedule,
     ptts: &Ptts,
     effects: &DayEffects,
     symptomatic_state: Option<StateId>,
     orig_of_location: Option<&[u32]>,
     seed: u64,
     day: u32,
-    out: &mut Vec<VisitMsg>,
+    mut emit: impl FnMut(u32, VisitMsg),
 ) -> bool {
     // 1. Health-state recalculation.
     slot.health.advance(ptts, seed, slot.id as u64, day as u64);
@@ -126,7 +131,8 @@ pub fn person_day(
             .bernoulli(SYMPTOMATIC_STAY_HOME_PROB);
 
     let home = pop.people[slot.id as usize].home;
-    for v in pop.visits_of(PersonId(slot.id)) {
+    let first = pop.person_offsets[slot.id as usize] as usize;
+    for (i, v) in pop.visits_of(PersonId(slot.id)).iter().enumerate() {
         let kind = pop.locations[v.location.0 as usize].kind;
         if effects.is_closed(kind as u8) && kind != LocationKind::Home {
             continue;
@@ -141,24 +147,16 @@ pub fn person_day(
         if stay_home && !at_home {
             continue;
         }
-        out.push(visit_to_msg(v, slot));
+        emit(
+            v.location.0,
+            VisitMsg {
+                slot: schedule.slot_of_visit(first + i),
+                state: slot.health.state,
+                sus_scale: slot.sus_scale,
+            },
+        );
     }
     symptomatic
-}
-
-/// Convert a schedule visit into today's visit message with the person's
-/// current health attached.
-#[inline]
-pub fn visit_to_msg(v: &Visit, slot: &PersonSlot) -> VisitMsg {
-    VisitMsg {
-        person: slot.id,
-        location: v.location.0,
-        sublocation: v.sublocation.0,
-        start_min: v.start_min,
-        end_min: v.end_min(),
-        state: slot.health.state,
-        sus_scale: slot.sus_scale,
-    }
 }
 
 #[cfg(test)]
@@ -174,24 +172,52 @@ mod tests {
         (pop, flu_model())
     }
 
+    /// Run `person_day` and collect what it emits as `(location, msg)`.
+    fn day_of(
+        slot: &mut PersonSlot,
+        pop: &Population,
+        ptts: &Ptts,
+        effects: &DayEffects,
+        symptomatic_state: Option<StateId>,
+        seed: u64,
+    ) -> (bool, Vec<(u32, VisitMsg)>) {
+        let schedule = VisitSchedule::unpartitioned(pop);
+        let mut out = Vec::new();
+        let sym = person_day(
+            slot,
+            pop,
+            &schedule,
+            ptts,
+            effects,
+            symptomatic_state,
+            None,
+            seed,
+            0,
+            |l, m| out.push((l, m)),
+        );
+        (sym, out)
+    }
+
     #[test]
     fn healthy_person_emits_full_schedule() {
         let (pop, ptts) = setup();
         let mut slot = PersonSlot::new(0, &ptts);
-        let mut out = Vec::new();
-        person_day(
+        let (_, out) = day_of(
             &mut slot,
             &pop,
             &ptts,
             &DayEffects::none(),
             ptts.state_by_name("symptomatic"),
-            None,
             1,
-            0,
-            &mut out,
         );
-        assert_eq!(out.len(), pop.visits_of(PersonId(0)).len());
-        assert!(out.iter().all(|m| m.state == ptts.start_state()));
+        let schedule = VisitSchedule::unpartitioned(&pop);
+        let visits = pop.visits_of(PersonId(0));
+        assert_eq!(out.len(), visits.len());
+        for (i, (v, (l, m))) in visits.iter().zip(&out).enumerate() {
+            assert_eq!(*l, v.location.0);
+            assert_eq!(m.slot, schedule.slot_of_visit(i));
+            assert_eq!(m.state, ptts.start_state());
+        }
     }
 
     #[test]
@@ -212,11 +238,10 @@ mod tests {
             r_scale: 1.0,
             vaccinations: Vec::new(),
         };
-        let mut out = Vec::new();
-        person_day(&mut slot, &pop, &ptts, &effects, None, None, 1, 0, &mut out);
+        let (_, out) = day_of(&mut slot, &pop, &ptts, &effects, None, 1);
         assert!(out
             .iter()
-            .all(|m| pop.locations[m.location as usize].kind != LocationKind::School));
+            .all(|&(l, _)| pop.locations[l as usize].kind != LocationKind::School));
         assert!(out.len() < pop.visits_of(PersonId(pid)).len());
     }
 
@@ -234,11 +259,10 @@ mod tests {
             vaccinations: vec![order],
         };
         let mut slot = PersonSlot::new(5, &ptts);
-        let mut out = Vec::new();
-        person_day(&mut slot, &pop, &ptts, &effects, None, None, 1, 0, &mut out);
+        let (_, out) = day_of(&mut slot, &pop, &ptts, &effects, None, 1);
         assert!((slot.sus_scale - 0.3).abs() < 1e-6);
         assert_eq!(slot.health.treatment, TreatmentId(1));
-        assert!(out.iter().all(|m| (m.sus_scale - 0.3).abs() < 1e-6));
+        assert!(out.iter().all(|(_, m)| (m.sus_scale - 0.3).abs() < 1e-6));
     }
 
     #[test]
@@ -307,22 +331,12 @@ mod tests {
             let mut slot = PersonSlot::new(pid, &ptts);
             slot.health.state = sym;
             slot.health.days_remaining = 3;
-            let mut out = Vec::new();
-            let symptomatic = person_day(
-                &mut slot,
-                &pop,
-                &ptts,
-                &DayEffects::none(),
-                Some(sym),
-                None,
-                7,
-                0,
-                &mut out,
-            );
+            let (symptomatic, out) =
+                day_of(&mut slot, &pop, &ptts, &DayEffects::none(), Some(sym), 7);
             assert!(symptomatic);
             let home = pop.people[pid as usize].home;
             let full = pop.visits_of(PersonId(pid)).len();
-            if out.len() < full || out.iter().all(|m| m.location == home.0) {
+            if out.len() < full || out.iter().all(|&(l, _)| l == home.0) {
                 stayed += 1;
             }
             total += 1;

@@ -7,10 +7,11 @@
 //! integration tests assert exactly that.
 
 use crate::ensemble::MemberArena;
-use crate::kernel::{simulate_location_day, InfectivityClasses};
+use crate::kernel::{InfectivityClasses, KernelParams};
 use crate::messages::DayEffects;
 use crate::output::{DayStats, EpiCurve};
 use crate::person::{person_day, PersonSlot};
+use crate::schedule::VisitSchedule;
 use crate::simulator::SimConfig;
 use ptts::crng::{CounterRng, Purpose};
 use ptts::intervention::DayObservables;
@@ -30,32 +31,38 @@ pub fn run_sequential_with_states(
     cfg: &SimConfig,
 ) -> (EpiCurve, Vec<PersonSlot>) {
     let mut arena = MemberArena::new();
-    let curve = run_sequential_into(pop, ptts, cfg, &mut arena);
+    let schedule = VisitSchedule::unpartitioned(pop);
+    let curve = run_sequential_into(pop, ptts, &schedule, cfg, &mut arena);
     (curve, arena.into_person_states())
 }
 
 /// Run the sequential simulation with all mutable per-run state drawn from
-/// `arena`. Reusing one arena across many runs (the ensemble scheduler gives
-/// each worker its own) amortises the allocations; the epidemic itself is
-/// bit-identical to [`run_sequential`] because the arena is reset to the
-/// same initial state every run.
+/// `arena`, over `schedule` (laid out over `pop`, with any partitioning:
+/// the curve does not depend on it). Reusing one arena and one schedule
+/// across many runs (the ensemble scheduler gives each worker its own
+/// arena, and every member shares the world's schedule) amortises the
+/// set-up; the epidemic itself is bit-identical to [`run_sequential`]
+/// because the arena is reset to the same initial state every run.
 pub fn run_sequential_into(
     pop: &Population,
     ptts: &Ptts,
+    schedule: &VisitSchedule,
     cfg: &SimConfig,
     arena: &mut MemberArena,
 ) -> EpiCurve {
     let n_people = pop.n_people() as usize;
-    let n_locations = pop.n_locations() as usize;
-    arena.reset(n_people, n_locations, ptts);
+    assert_eq!(
+        schedule.n_slots(),
+        pop.visits.len(),
+        "the schedule must be laid out over this population"
+    );
+    arena.reset(n_people, schedule, ptts);
     let MemberArena {
         slots,
-        buffers,
-        visit_buf,
+        visits: day_visits,
         infects,
         scratch,
     } = arena;
-    let buffers = &mut buffers[..n_locations];
 
     // Initial infections: identical draw to `Simulator::new`.
     let mut seeds = std::collections::BTreeSet::new();
@@ -100,45 +107,55 @@ pub fn run_sequential_into(
         // Phase 1: persons.
         let (mut symptomatic, mut infected_now, mut susceptible, mut visits) = (0u64, 0, 0, 0);
         for slot in slots.iter_mut() {
-            visit_buf.clear();
             let sym = person_day(
                 slot,
                 pop,
+                schedule,
                 ptts,
                 &effects,
                 symptomatic_state,
                 None,
                 cfg.seed,
                 day,
-                visit_buf,
+                |_, msg| {
+                    visits += 1;
+                    day_visits.record(&classes, &msg);
+                },
             );
             symptomatic += sym as u64;
             infected_now += slot.is_infected() as u64;
             susceptible += ptts.is_susceptible(slot.health.state) as u64;
-            visits += visit_buf.len() as u64;
-            for m in visit_buf.drain(..) {
-                buffers[m.location as usize].push(m);
-            }
         }
 
-        // Phase 3: locations.
-        let (mut events, mut interactions) = (0u64, 0u64);
+        // Phase 3: locations; infects are recorded as they are produced
+        // (the dedup keeps the minimum, so order does not matter).
+        let params = KernelParams {
+            ptts,
+            classes: &classes,
+            r_eff,
+            seed: cfg.seed,
+            day,
+        };
+        let (mut events, mut interactions, mut infects_sent) = (0u64, 0u64, 0u64);
         let mut infections_by_kind = [0u64; 5];
-        infects.clear();
-        for (l, buf) in buffers.iter_mut().enumerate() {
-            let before = infects.len();
-            let f =
-                simulate_location_day(buf, ptts, &classes, r_eff, cfg.seed, day, scratch, infects);
-            events += f.events;
-            interactions += f.interactions;
-            infections_by_kind[pop.locations[l].kind as usize] += (infects.len() - before) as u64;
-            buf.clear();
-        }
+        day_visits.compute(
+            schedule,
+            &params,
+            scratch,
+            infects,
+            |_, location, f, day_infects| {
+                events += f.events;
+                interactions += f.interactions;
+                infects_sent += day_infects.len() as u64;
+                infections_by_kind[pop.locations[location as usize].kind as usize] +=
+                    day_infects.len() as u64;
+                for i in day_infects {
+                    slots[i.person as usize].record_infection(i);
+                }
+            },
+        );
 
         // Phase 5: apply (same dedup as PersonManager).
-        for i in infects.iter() {
-            slots[i.person as usize].record_infection(i);
-        }
         let mut new_infections = 0u64;
         for slot in slots.iter_mut() {
             new_infections += slot.apply_pending(ptts, cfg.seed, day) as u64;
@@ -154,7 +171,7 @@ pub fn run_sequential_into(
             visits,
             events,
             interactions,
-            infects_sent: infects.len() as u64,
+            infects_sent,
             infections_by_kind,
         };
         yesterday_new = new_infections;

@@ -273,10 +273,7 @@ impl Simulator {
             }
             let pe = crate::engine::pe_for_partition(part, k, n_pes);
             runtime.add_chare(ChareId(part), pe, Box::new(pm));
-            let lm = LocationManager::new(
-                shared.clone(),
-                world.layout.locations_per_part[part as usize].clone(),
-            );
+            let lm = LocationManager::new(shared.clone(), part);
             runtime.add_chare(ChareId(k + part), pe, Box::new(lm));
         }
 

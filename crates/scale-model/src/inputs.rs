@@ -5,8 +5,9 @@ use episim_core::distribution::DataDistribution;
 use load_model::{LoadUnits, PiecewiseModel};
 use std::collections::HashMap;
 
-/// Wire size of one visit (the per-record term of `SimMsg::Visits`' `size_bytes`).
-pub const VISIT_BYTES: u64 = 20;
+/// Wire size of one visit record (the per-record term of
+/// `SimMsg::Visits`' `size_bytes`).
+pub use episim_core::messages::VISIT_BYTES;
 
 /// Per-partition quantities the day-time model consumes.
 #[derive(Debug, Clone, Default)]

@@ -3,8 +3,9 @@
 //! * **R6** — transitive hot-path purity. Every function reachable from a
 //!   `#[hot_path]` fn is scanned for allocation, panic, and wall-clock
 //!   sinks; a hit is reported at the sink's call site with the full
-//!   witness path from a hot root (`simulate_location_day →
-//!   resolve_susceptible → cands.push → Vec::push`).
+//!   witness path from a hot root (`simulate_location →
+//!   simulate_sublocation → resolve_susceptible → cands.push →
+//!   Vec::push`).
 //! * **R7** — lock-order discipline. `simlint.toml` declares a total
 //!   order over named locks; a lexical guard-liveness walk over each
 //!   scoped fn (plus the transitive lock-entry sets of its callees) flags

@@ -1,10 +1,15 @@
 //! Property-based tests over the core invariants, with `proptest` driving
 //! population shapes, seeds, partition counts and strategies.
 
-use episimdemics::chare_rt::RuntimeConfig;
+use episimdemics::chare_rt::{Chare, ChareId, Ctx, Runtime, RuntimeConfig};
 use episimdemics::core::distribution::{DataDistribution, Strategy as DistStrategy};
-use episimdemics::core::kernel::{simulate_location_day, InfectivityClasses, KernelScratch};
-use episimdemics::core::messages::{InfectMsg, VisitMsg};
+use episimdemics::core::ensemble::CowWorld;
+use episimdemics::core::kernel::{
+    simulate_location, InfectivityClasses, KernelParams, KernelScratch, LocationDayFeatures,
+};
+use episimdemics::core::managers::LocationManager;
+use episimdemics::core::messages::{InfectMsg, Shared, SimMsg, VisitMsg};
+use episimdemics::core::schedule::{DayVisits, VisitSchedule};
 use episimdemics::core::seq::run_sequential;
 use episimdemics::core::simulator::{SimConfig, Simulator};
 use episimdemics::core::splitloc::{split_heavy_locations, SplitConfig};
@@ -15,34 +20,59 @@ use episimdemics::ptts::flu_model;
 use episimdemics::ptts::model::{HealthTracker, StateId};
 use episimdemics::ptts::transmission::select_infector;
 use episimdemics::ptts::Ptts;
-use episimdemics::synthpop::{Population, PopulationConfig};
+use episimdemics::synthpop::{
+    Location, LocationId, LocationKind, Person, PersonId, Population, PopulationConfig,
+    SublocationId, Visit,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_pop() -> impl Strategy<Value = Population> {
     (300u32..1200, 0u64..1000)
         .prop_map(|(n, seed)| Population::generate(&PopulationConfig::small("P", n, seed)))
 }
 
-/// Arbitrary one-location visit buffers: mixed states, sublocations, time
-/// windows (including zero-duration stays) and susceptibility scales. The
+/// One visit of an arbitrary one-location day, with today's state.
+#[derive(Debug, Clone, Copy)]
+struct ArbVisit {
+    person: u32,
+    sublocation: u16,
+    start_min: u16,
+    end_min: u16,
+    state: StateId,
+    sus_scale: f32,
+}
+
+/// Sublocations of the arbitrary location.
+const ARB_ROOMS: u16 = 12;
+
+/// Arbitrary one-location days: mixed states, many sublocations, time
+/// windows (including zero-duration stays and coinciding event times) and
+/// susceptibility scales. The
 /// canonical kernel order is `(sublocation, start, person)`, so those keys
-/// are kept unique — duplicates would make the unstable sorts ambiguous.
-fn arb_visits() -> impl Strategy<Value = Vec<VisitMsg>> {
+/// are kept unique (the schedule asserts it).
+fn arb_visits() -> impl Strategy<Value = Vec<ArbVisit>> {
     collection::vec(
-        (0u32..12, 0u16..5, 0u16..1200, 0u16..240, 0u32..1000),
-        1..40,
+        (0u32..12, 0u16..ARB_ROOMS, 0u16..1200, 0u16..240, 0u32..1000),
+        1..60,
     )
     .prop_map(|raw| {
         let n_states = flu_model().n_states() as u32;
         let mut seen = std::collections::HashSet::new();
         let mut visits = Vec::new();
-        for (person, sublocation, start_min, dur, mix) in raw {
+        for (person, sublocation, start_raw, dur_raw, mix) in raw {
+            // Every other visit sits on a 30-minute grid, so arrivals and
+            // departures often coincide (the departs-first tie-break).
+            let (start_min, dur) = if mix % 2 == 0 {
+                (start_raw / 30 * 30, dur_raw / 30 * 30)
+            } else {
+                (start_raw, dur_raw)
+            };
             if !seen.insert((sublocation, start_min, person)) {
                 continue;
             }
-            visits.push(VisitMsg {
+            visits.push(ArbVisit {
                 person,
-                location: 0,
                 sublocation,
                 start_min,
                 end_min: start_min + dur,
@@ -58,6 +88,83 @@ fn arb_visits() -> impl Strategy<Value = Vec<VisitMsg>> {
     })
 }
 
+/// Run the kernel over `visits` through a one-location schedule: lay the
+/// visits out as a population (person-major, as generated populations
+/// are), record one visit message per visit, and sweep location 0.
+fn kernel_over(
+    visits: &[ArbVisit],
+    r_eff: f64,
+    seed: u64,
+    day: u32,
+) -> (Vec<InfectMsg>, LocationDayFeatures) {
+    let mut order: Vec<usize> = (0..visits.len()).collect();
+    order.sort_by_key(|&i| visits[i].person);
+    let n_people = visits.iter().map(|v| v.person + 1).max().unwrap_or(0);
+    let mut person_offsets = vec![0u32; n_people as usize + 1];
+    for v in visits {
+        person_offsets[v.person as usize + 1] += 1;
+    }
+    for p in 0..n_people as usize {
+        person_offsets[p + 1] += person_offsets[p];
+    }
+    let pop = Population {
+        code: "ARB".into(),
+        seed: 0,
+        people: vec![
+            Person {
+                home: LocationId(0),
+                anchor: None,
+            };
+            n_people as usize
+        ],
+        locations: vec![Location {
+            kind: LocationKind::Work,
+            n_sublocations: ARB_ROOMS,
+            weight: 1.0,
+        }],
+        visits: order
+            .iter()
+            .map(|&i| Visit {
+                person: PersonId(visits[i].person),
+                location: LocationId(0),
+                sublocation: SublocationId(visits[i].sublocation),
+                start_min: visits[i].start_min,
+                duration_min: visits[i].end_min - visits[i].start_min,
+            })
+            .collect(),
+        person_offsets,
+    };
+    let ptts = flu_model();
+    let classes = InfectivityClasses::new(&ptts);
+    let schedule = VisitSchedule::unpartitioned(&pop);
+    let mut day_visits = DayVisits::for_parts(&schedule, 0..1);
+    for (static_idx, &i) in order.iter().enumerate() {
+        let msg = VisitMsg {
+            slot: schedule.slot_of_visit(static_idx),
+            state: visits[i].state,
+            sus_scale: visits[i].sus_scale,
+        };
+        day_visits.record(&classes, &msg);
+    }
+    let params = KernelParams {
+        ptts: &ptts,
+        classes: &classes,
+        r_eff,
+        seed,
+        day,
+    };
+    let mut out = Vec::new();
+    let features = simulate_location(
+        &schedule,
+        &day_visits,
+        0,
+        &params,
+        &mut KernelScratch::new(),
+        &mut out,
+    );
+    (out, features)
+}
+
 /// Deterministic Fisher–Yates driven by a splitmix-style stream (the
 /// proptest shim has no `prop_shuffle`).
 fn shuffle<T>(items: &mut [T], seed: u64) {
@@ -70,6 +177,97 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
     }
 }
 
+/// A PersonManager stand-in that keeps every infect it receives.
+#[derive(Default)]
+struct InfectSink(Vec<InfectMsg>);
+
+impl Chare<SimMsg> for InfectSink {
+    fn receive(&mut self, msg: SimMsg, _ctx: &mut Ctx<'_, SimMsg>) {
+        match msg {
+            SimMsg::Infects(batch) => self.0.extend(batch),
+            other => panic!("sink got {other:?}"),
+        }
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
+    }
+}
+
+/// One location phase of `dist`'s LocationManagers on a sequential
+/// runtime: every visit arrives as a record (states drawn per person, a
+/// mix of susceptible and infectious), in batches of `batch`. With
+/// `shuffle`, the records of each LM and then all batches are shuffled.
+/// Returns the infects each PersonManager received and each LM's
+/// per-location features.
+fn location_managers_day(
+    dist: &DataDistribution,
+    r_eff: f64,
+    batch: usize,
+    shuffle_seed: Option<u64>,
+) -> (Vec<Vec<InfectMsg>>, Vec<Vec<LocationDayFeatures>>) {
+    let world = CowWorld::build(dist, flu_model());
+    let layout = &world.layout;
+    let k = layout.k;
+    let n_states = world.ptts.n_states() as u64;
+    let mut per_lm: Vec<Vec<VisitMsg>> = vec![Vec::new(); k as usize];
+    for (i, v) in world.pop.visits.iter().enumerate() {
+        let mut rng = CounterRng::for_entity(5, v.person.0 as u64, 0, Purpose::Synthesis);
+        let state = StateId(rng.uniform_u64(n_states) as u16);
+        let sus_scale = if rng.bernoulli(0.2) { 0.5 } else { 1.0 };
+        let lm = layout.lm_of_location[v.location.0 as usize];
+        per_lm[(lm - k) as usize].push(VisitMsg {
+            slot: layout.schedule.slot_of_visit(i),
+            state,
+            sus_scale,
+        });
+    }
+    let mut injections = Vec::new();
+    for (p, mut records) in per_lm.into_iter().enumerate() {
+        if let Some(seed) = shuffle_seed {
+            shuffle(&mut records, seed.wrapping_add(p as u64));
+        }
+        for chunk in records.chunks(batch) {
+            injections.push((ChareId(k + p as u32), SimMsg::Visits(chunk.to_vec())));
+        }
+    }
+    if let Some(seed) = shuffle_seed {
+        shuffle(&mut injections, seed ^ 0xBA7C);
+    }
+
+    let shared = Arc::new(Shared {
+        pop: world.pop.clone(),
+        ptts: world.ptts.clone(),
+        layout: world.layout.clone(),
+        r: r_eff,
+        seed: 11,
+    });
+    let mut rt = Runtime::new(RuntimeConfig::sequential(1));
+    for p in 0..k {
+        rt.add_chare(ChareId(p), 0, Box::new(InfectSink::default()));
+        let lm = LocationManager::new(shared.clone(), p);
+        rt.add_chare(ChareId(k + p), 0, Box::new(lm));
+    }
+    rt.run_phase(injections);
+    rt.run_phase(
+        (0..k)
+            .map(|p| (ChareId(k + p), SimMsg::ComputeDay { day: 3, r_eff }))
+            .collect(),
+    );
+    let mut infects = vec![Vec::new(); k as usize];
+    let mut features = vec![Vec::new(); k as usize];
+    for (id, chare) in rt.into_chares() {
+        let any = chare.into_any();
+        if id.0 < k {
+            infects[id.0 as usize] = any.downcast::<InfectSink>().expect("sink").0;
+        } else {
+            let lm = any.downcast::<LocationManager>().expect("location manager");
+            features[(id.0 - k) as usize] = lm.last_features;
+        }
+    }
+    (infects, features)
+}
+
 /// A deliberately naive O(n²) reference for the location DES: per-class
 /// exposure integrals computed as pairwise interval overlaps, fresh
 /// allocations everywhere, plain comparison sorts. Emits the same
@@ -78,7 +276,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 /// sublocation ascending, then departure time, then canonical index —
 /// matters for the stream).
 fn naive_location_day(
-    visits: &[VisitMsg],
+    visits: &[ArbVisit],
     ptts: &Ptts,
     r_eff: f64,
     seed: u64,
@@ -322,37 +520,30 @@ proptest! {
         }
     }
 
-    /// The location DES is invariant under any permutation of the visit
-    /// buffer: message arrival order must never leak into results.
+    /// The location DES is invariant under the order in which visit
+    /// records arrive: LocationManagers that receive one day's records in
+    /// shuffled batches, each batch shuffled, send the same infects and
+    /// record the same per-location features as in canonical order.
     #[test]
     fn kernel_invariant_under_visit_permutation(
-        visits in arb_visits(),
+        pop_seed in 0u64..1000,
         shuffle_seed in 0u64..10_000,
+        batch in 1usize..400,
         r_scale in 1u32..80,
     ) {
+        let pop = Population::generate(&PopulationConfig::small("LM", 600, pop_seed));
+        let dist = DataDistribution::build(&pop, DistStrategy::RoundRobin, 2, pop_seed);
         let r_eff = r_scale as f64 * 1e-4;
-        let ptts = flu_model();
-        let classes = InfectivityClasses::new(&ptts);
-        let mut scratch = KernelScratch::new();
-
-        let mut base = visits.clone();
-        let mut out_a = Vec::new();
-        let fa = simulate_location_day(
-            &mut base, &ptts, &classes, r_eff, 7, 2, &mut scratch, &mut out_a,
-        );
-        let mut shuffled = visits;
-        shuffle(&mut shuffled, shuffle_seed);
-        let mut out_b = Vec::new();
-        let fb = simulate_location_day(
-            &mut shuffled, &ptts, &classes, r_eff, 7, 2, &mut scratch, &mut out_b,
-        );
-        prop_assert_eq!(out_a, out_b);
-        prop_assert_eq!(fa, fb);
+        let (infects, features) = location_managers_day(&dist, r_eff, batch, None);
+        prop_assert!(features.iter().flatten().any(|f| f.interactions > 0));
+        let shuffled = location_managers_day(&dist, r_eff, batch, Some(shuffle_seed));
+        prop_assert_eq!(&shuffled.0, &infects);
+        prop_assert_eq!(&shuffled.1, &features);
     }
 
-    /// The scratch-buffer sweep kernel produces the exact `InfectMsg`
+    /// The schedule-driven sweep kernel produces the exact `InfectMsg`
     /// stream of a naive O(n²) pairwise reference — the determinism
-    /// contract the zero-allocation refactor must uphold.
+    /// contract every kernel change must uphold.
     #[test]
     fn scratch_kernel_matches_naive_reference(
         visits in arb_visits(),
@@ -360,17 +551,9 @@ proptest! {
         r_scale in 1u32..80,
     ) {
         let r_eff = r_scale as f64 * 1e-4;
-        let ptts = flu_model();
-        let classes = InfectivityClasses::new(&ptts);
-        let mut scratch = KernelScratch::new();
-
-        let mut buf = visits.clone();
-        let mut out = Vec::new();
-        let f = simulate_location_day(
-            &mut buf, &ptts, &classes, r_eff, kernel_seed, 3, &mut scratch, &mut out,
-        );
+        let (out, f) = kernel_over(&visits, r_eff, kernel_seed, 3);
         let (naive_out, naive_inter, naive_recip) =
-            naive_location_day(&visits, &ptts, r_eff, kernel_seed, 3);
+            naive_location_day(&visits, &flu_model(), r_eff, kernel_seed, 3);
         prop_assert_eq!(out, naive_out);
         prop_assert_eq!(f.interactions, naive_inter);
         prop_assert_eq!(f.events, 2 * visits.len() as u64);
